@@ -18,13 +18,15 @@ import numpy as np
 from . import data as data_mod
 from . import nn
 from .config import RunConfig, load_config, resolve_output_dir
-from .env import N_ACTIONS, PlatoonEnv, obs_dim_for
+from .env import LOG_FIELDS, N_ACTIONS, PlatoonEnv, obs_dim_for
 from .errors import ConfigError, DataError, FitError
 from .train import (
     EvalReport,
     consensus_bench,
+    episode_row,
     evaluate,
     load_checkpoints,
+    rollout,
     train,
     write_consensus_bench,
     write_train_log,
@@ -144,33 +146,28 @@ def _nets_for(
     """Load checkpoints when available, else fresh seeded networks."""
     obs_dim = obs_dim_for(cfg.train.obs_mode)
     if checkpoint_dir is not None and Path(checkpoint_dir).exists():
-        return load_checkpoints(checkpoint_dir, n_agents), f"checkpoints from {checkpoint_dir}"
+        nets = load_checkpoints(checkpoint_dir, n_agents)
+        for i, net in enumerate(nets):
+            if net.obs_dim != obs_dim:
+                raise ConfigError(
+                    f"{checkpoint_dir}/agent{i}.npz takes {net.obs_dim} observation values, "
+                    f"but obs_mode {cfg.train.obs_mode!r} gives {obs_dim}"
+                )
+        return nets, f"checkpoints from {checkpoint_dir}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nets = [nn.init_agent_net(obs_dim, 64, N_ACTIONS, rng) for _ in range(n_agents)]
     return nets, "untrained networks (no checkpoint found)"
 
 
-def _write_rollout_log(step_rows: list[list], path: Path) -> None:
-    """Per-step per-vehicle rollout CSV; nan marks undefined fields of a
-    replayed leader."""
+def _write_rollout_log(log: np.ndarray, path: Path) -> None:
+    """Per-step per-vehicle rollout CSV from a rollout's vehicle log; nan
+    marks undefined fields of a replayed leader."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["step", "vehicle", "spacing_m", "velocity_mps", "accel_mps2", "power_kw", "reward"]
-        )
-        for step, rows in enumerate(step_rows, start=1):
-            for r in rows:
-                writer.writerow(
-                    [
-                        step,
-                        r.vehicle,
-                        f"{r.spacing_m:.6f}",
-                        f"{r.velocity_mps:.6f}",
-                        f"{r.accel_mps2:.6f}",
-                        f"{r.power_kw:.6f}",
-                        f"{r.reward:.6f}",
-                    ]
-                )
+        writer.writerow(["step", "vehicle", *LOG_FIELDS])
+        for step, vehicles in enumerate(log.transpose(1, 2, 0).tolist(), start=1):
+            for i, values in enumerate(vehicles):
+                writer.writerow([step, i] + [f"{x:.6f}" for x in values])
 
 
 def _cmd_fit_energy(args: argparse.Namespace) -> int:
@@ -258,8 +255,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .train import _greedy_episode
-
     cfg = _load_run_config(args)
     scenario = replace(cfg.scenario, leader_mode="trace-replay")
     table = data_mod.parse_trace_csv(args.trace)
@@ -272,14 +267,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     env = PlatoonEnv(scenario, cfg.vehicle, cfg.ovm, cfg.reward, profile.velocities)
     nets, source = _nets_for(cfg, args.checkpoint_dir, env.n_agents, cfg.seeds[0])
     print(f"replay: using {source}")
-    row, step_rows = _greedy_episode(env, nets, cfg.train.obs_mode, scenario.seed)
-    _write_rollout_log(step_rows, out / "replay_log.csv")
+    _, collisions, log = rollout(env, nets, cfg.train.obs_mode, scenario.seed)
+    row = episode_row(env, scenario.seed, collisions, log)
+    _write_rollout_log(log, out / "replay_log.csv")
     stats = EvalReport(rows=[row], aggregate=row)
     stats_path = out / "replay_stats.csv"
     # Single-rollout stats: one data row plus the (identical) aggregate row.
     stats.to_csv(stats_path)
     print(
-        f"replay: window={t0:g}:{t1:g} samples={len(profile)} steps={len(step_rows)} "
+        f"replay: window={t0:g}:{t1:g} samples={len(profile)} steps={log.shape[1]} "
         f"ivs_mean_m={row.ivs_mean_m:.3f} power_mean_kw={row.power_mean_kw:.3f} "
         f"collisions={row.collisions} -> {out / 'replay_log.csv'}"
     )

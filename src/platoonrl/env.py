@@ -9,7 +9,7 @@ trace (vehicle 0 follows the trace and is not an agent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +38,10 @@ OBS_MODES = ("ia2c", "fprint")
 LEADER_MODES = ("virtual-target", "trace-replay")
 
 _OWN_DIM = 5
+_GAINS = np.array(ACTION_GAINS)
+
+# Per-vehicle values of a step, in the order of PlatoonEnv.vehicle_values().
+LOG_FIELDS = ("spacing_m", "velocity_mps", "accel_mps2", "power_kw", "reward")
 
 
 def obs_dim_for(mode: str) -> int:
@@ -133,14 +137,14 @@ class RewardWeights:
 
 def compute_reward(
     weights: RewardWeights,
-    d: float,
-    v: float,
-    u: float,
-    power_kw: float,
+    d: float | np.ndarray,
+    v: float | np.ndarray,
+    u: float | np.ndarray,
+    power_kw: float | np.ndarray,
     d_star: float,
     v_star: float,
-) -> float:
-    """Multi-objective step reward:
+) -> float | np.ndarray:
+    """Multi-objective step reward, for floats or per-agent arrays:
 
         w_spacing (d - d*)^2 + w_velocity (v - v*)^2 + w_accel u^2
         + w_safety max(0, 2 d_safe - d)^2 + w_power (P / power_norm)
@@ -148,48 +152,25 @@ def compute_reward(
     The safety term activates only once the gap falls below twice d_safe.
     The collision penalty is applied by the environment, not here.
     """
-    safety_gap = max(0.0, 2.0 * weights.d_safe - d)
+    safety_gap = np.maximum(0.0, 2.0 * weights.d_safe - d)
     return (
-        weights.w_spacing * (d - d_star) ** 2
-        + weights.w_velocity * (v - v_star) ** 2
-        + weights.w_accel * u**2
-        + weights.w_safety * safety_gap**2
+        weights.w_spacing * np.square(d - d_star)
+        + weights.w_velocity * np.square(v - v_star)
+        + weights.w_accel * np.square(u)
+        + weights.w_safety * np.square(safety_gap)
         + weights.w_power * (power_kw / weights.power_norm)
     )
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Per-agent observation blocks; assemble with vector(mode).
-
-    own: [v_hat, v_diff_hat, v_headway_hat, d_hat, u_hat].
-    front/rear: the neighbor agents' own 5-vectors, zeros past platoon ends
-    or where the neighbor is not an agent.
-    front_fp/rear_fp: the neighbors' previous-step policy distributions.
-    """
-
-    own: np.ndarray
-    front: np.ndarray
-    rear: np.ndarray
-    front_fp: np.ndarray
-    rear_fp: np.ndarray
-
-    def vector(self, mode: str) -> np.ndarray:
-        if mode == "ia2c":
-            return np.concatenate([self.own, self.front, self.rear])
-        if mode == "fprint":
-            return np.concatenate(
-                [self.own, self.front, self.rear, self.front_fp, self.rear_fp]
-            )
-        raise ConfigError(f"unknown obs_mode {mode!r}")
-
-
-@dataclass(frozen=True)
 class StepOutcome:
-    """Result of one synchronous platoon step. info arrays are per-agent;
-    done is set on collision or when the step budget is exhausted."""
+    """Result of one synchronous platoon step. observations is the
+    (n_agents, obs_dim_for("fprint")) array of the next observations; the
+    ia2c observation is its first obs_dim_for("ia2c") columns. info arrays
+    are per-agent; done is set on collision or when the step budget is
+    exhausted."""
 
-    observations: list[Observation]
+    observations: np.ndarray
     rewards: np.ndarray
     done: bool
     collision: bool
@@ -211,6 +192,15 @@ class VehicleLogRow:
 
 class PlatoonEnv:
     """N-vehicle platoon simulator with per-agent observations and rewards.
+
+    The platoon state is one set of (n_vehicles,) arrays, front to back.
+    Agents are the vehicles from index n_vehicles - n_agents on, so a
+    replayed leader is the one vehicle that is not an agent.
+
+    Observation rows hold, per agent: own [v_hat, v_diff_hat, v_headway_hat,
+    d_hat, u_hat]; the front and rear neighbor agents' own 5-vectors (zeros
+    past the platoon ends or where the neighbor is not an agent); the front
+    and rear neighbors' previous-step policy distributions (zeros likewise).
 
     Single-threaded; run distinct instances for parallel scenarios. All
     randomness comes from the reset seed.
@@ -241,12 +231,18 @@ class PlatoonEnv:
             self._profile = profile
         else:
             self._profile = None
-        self._states: list[VehicleState] = []
+        # First agent vehicle: 1 behind a replayed leader, else 0.
+        self._first = 0 if self._profile is None else 1
+        self._agent_index = np.arange(self.n_agents)
+        # The car-following law with one row per action's gain pair.
+        self._gain_table = replace(self.ovm, alpha=_GAINS[:, :1], beta=_GAINS[:, 1:])
+        self._state: VehicleState | None = None
+        self._power: np.ndarray | None = None
+        self._rewards: np.ndarray | None = None
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
         self._step_idx = 0
         self._done = True
-        self._last_rows: list[VehicleLogRow] = []
 
     @property
     def n_vehicles(self) -> int:
@@ -255,21 +251,28 @@ class PlatoonEnv:
     @property
     def agent_vehicles(self) -> tuple[int, ...]:
         """Vehicle indices that are learning agents."""
-        if self.cfg.leader_mode == "trace-replay":
-            return tuple(range(1, self.cfg.n_vehicles))
-        return tuple(range(self.cfg.n_vehicles))
+        return tuple(range(self._first, self.cfg.n_vehicles))
 
     @property
     def n_agents(self) -> int:
-        return len(self.agent_vehicles)
+        return self.cfg.n_vehicles - self._first
 
     @property
     def done(self) -> bool:
         return self._done
 
+    def vehicle_values(self) -> np.ndarray:
+        """(len(LOG_FIELDS), n_vehicles) array of the most recent step's (or
+        reset's) per-vehicle values."""
+        s = self._state
+        return np.array([s.spacing_m, s.velocity_mps, s.accel_mps2, self._power, self._rewards])
+
     def vehicle_log_rows(self) -> list[VehicleLogRow]:
         """Per-vehicle values of the most recent step (or of reset)."""
-        return list(self._last_rows)
+        return [
+            VehicleLogRow(i, *values)
+            for i, values in enumerate(self.vehicle_values().T.tolist())
+        ]
 
     def _target_velocity(self, t_s: float) -> float:
         """Virtual leader target velocity at time t_s."""
@@ -293,7 +296,13 @@ class PlatoonEnv:
             return float(self._profile[min(k, self._profile.size - 1)])
         return self._target_velocity(k * self.cfg.dt)
 
-    def reset(self, seed: int | None = None) -> list[Observation]:
+    def _agent_ahead_velocity(self) -> np.ndarray:
+        """Each agent's predecessor velocity at the current step."""
+        v = self._state.velocity_mps
+        lead = self._leader_velocity(self._step_idx)
+        return np.concatenate(([lead], v[:-1]))[self._first :]
+
+    def reset(self, seed: int | None = None) -> np.ndarray:
         cfg = self.cfg
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
         spacing = cfg.d_star * (
@@ -305,77 +314,35 @@ class PlatoonEnv:
         if self._profile is not None:
             velocity[0] = self._profile[0]
             spacing[0] = math.nan
-        self._states = [
-            VehicleState(spacing_m=float(d), velocity_mps=float(v), accel_mps2=0.0)
-            for d, v in zip(spacing, velocity)
-        ]
+        accel = np.zeros(cfg.n_vehicles)
+        self._state = VehicleState(spacing, velocity, accel)
+        self._power = electric_power(self.vehicle, velocity, accel)
+        self._rewards = np.full(cfg.n_vehicles, math.nan)
         self._v0 = velocity.copy()
         self._fingerprints = np.full((self.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
         self._step_idx = 0
         self._done = False
-        self._last_rows = [
-            VehicleLogRow(
-                vehicle=i,
-                spacing_m=s.spacing_m,
-                velocity_mps=s.velocity_mps,
-                accel_mps2=0.0,
-                power_kw=electric_power(self.vehicle, s.velocity_mps, 0.0),
-                reward=math.nan,
-            )
-            for i, s in enumerate(self._states)
-        ]
-        return self._build_observations()
+        return self._observations()
 
-    def _own_vector(self, vehicle_idx: int, v_prev: float) -> np.ndarray:
-        s = self._states[vehicle_idx]
+    def _observations(self) -> np.ndarray:
         cfg = self.cfg
-        v0 = float(self._v0[vehicle_idx])
-        v_hat = (s.velocity_mps - v0) / v0
-        v_diff = float(np.clip((v_prev - s.velocity_mps) / 5.0, -2.0, 2.0))
-        v_head = float(
-            np.clip(
-                (headway_velocity(self.ovm, s.spacing_m) - s.velocity_mps) / 5.0,
-                -2.0,
-                2.0,
-            )
-        )
-        d_hat = (
-            s.spacing_m + (v_prev - s.velocity_mps) * cfg.dt - cfg.d_star
-        ) / cfg.d_star
-        u_hat = s.accel_mps2 / U_MAX
-        return np.array([v_hat, v_diff, v_head, d_hat, u_hat])
-
-    def _build_observations(self) -> list[Observation]:
-        agents = self.agent_vehicles
-        k = self._step_idx
-        # Predecessor velocity per vehicle at the current time.
-        v_prev = np.empty(self.n_vehicles)
-        v_prev[0] = self._leader_velocity(k)
-        for i in range(1, self.n_vehicles):
-            v_prev[i] = self._states[i - 1].velocity_mps
-        own = {i: self._own_vector(i, float(v_prev[i])) for i in agents}
-        zeros5 = np.zeros(_OWN_DIM)
-        zeros_fp = np.zeros(N_ACTIONS)
-        obs = []
-        for a, i in enumerate(agents):
-            front_i, rear_i = i - 1, i + 1
-            front = own.get(front_i, zeros5) if front_i >= 0 else zeros5
-            rear = own.get(rear_i, zeros5) if rear_i < self.n_vehicles else zeros5
-            front_fp = zeros_fp
-            rear_fp = zeros_fp
-            if front_i in agents:
-                front_fp = self._fingerprints[agents.index(front_i)]
-            if rear_i in agents:
-                rear_fp = self._fingerprints[agents.index(rear_i)]
-            obs.append(
-                Observation(
-                    own=own[i],
-                    front=front.copy(),
-                    rear=rear.copy(),
-                    front_fp=front_fp.copy(),
-                    rear_fp=rear_fp.copy(),
-                )
-            )
+        s = self._state
+        a = self._first
+        d, v, v0 = s.spacing_m[a:], s.velocity_mps[a:], self._v0[a:]
+        dv = self._agent_ahead_velocity() - v
+        v_head = headway_velocity(self.ovm, d)
+        obs = np.zeros((self.n_agents, obs_dim_for("fprint")))
+        own = obs[:, :_OWN_DIM]
+        own[:, 0] = (v - v0) / v0
+        own[:, 1] = np.minimum(np.maximum(dv / 5.0, -2.0), 2.0)
+        own[:, 2] = np.minimum(np.maximum((v_head - v) / 5.0, -2.0), 2.0)
+        own[:, 3] = (d + dv * cfg.dt - cfg.d_star) / cfg.d_star
+        own[:, 4] = s.accel_mps2[a:] / U_MAX
+        o, f = _OWN_DIM, 3 * _OWN_DIM
+        obs[1:, o : 2 * o] = own[:-1]
+        obs[:-1, 2 * o : f] = own[1:]
+        obs[1:, f : f + N_ACTIONS] = self._fingerprints[:-1]
+        obs[:-1, f + N_ACTIONS :] = self._fingerprints[1:]
         return obs
 
     def step(
@@ -391,111 +358,60 @@ class PlatoonEnv:
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
         cfg = self.cfg
-        agents = self.agent_vehicles
-        if len(actions) != len(agents):
-            raise ValueError(f"expected {len(agents)} actions, got {len(actions)}")
-        for a in actions:
-            if not 0 <= int(a) < N_ACTIONS:
-                raise ValueError(f"action index {a} out of range")
+        n_agents = self.n_agents
+        if len(actions) != n_agents:
+            raise ValueError(f"expected {n_agents} actions, got {len(actions)}")
+        for action in actions:
+            if not 0 <= action < N_ACTIONS:
+                raise ValueError(f"action index {action} out of range")
         if fingerprints is not None:
             fp = np.asarray(fingerprints, dtype=float)
-            if fp.shape != (len(agents), N_ACTIONS):
-                raise ValueError(
-                    f"expected fingerprints shape {(len(agents), N_ACTIONS)}"
-                )
+            if fp.shape != (n_agents, N_ACTIONS):
+                raise ValueError(f"expected fingerprints shape {(n_agents, N_ACTIONS)}")
             self._fingerprints = fp.copy()
 
         k = self._step_idx
         dt = cfg.dt
-        # Gain-law accelerations from the pre-step snapshot.
-        u_cmd = np.zeros(self.n_vehicles)
-        v_now = np.array([s.velocity_mps for s in self._states])
-        lead_v_now = self._leader_velocity(k)
+        a = self._first
+        s = self._state
+        agents = VehicleState(s.spacing_m[a:], s.velocity_mps[a:], s.accel_mps2[a:])
+        v_ahead = self._agent_ahead_velocity()
+        # Gain-law accelerations from the pre-step snapshot: the law under
+        # every gain pair at once, then each agent's row.
+        u_all = ovm_accel(self._gain_table, agents.spacing_m, agents.velocity_mps, v_ahead)
+        u_cmd = u_all[np.asarray(actions, dtype=np.intp), self._agent_index]
+        # The first agent follows the virtual car or the replayed leader,
+        # whose motion over the step comes from the target or the trace.
         lead_v_next = self._leader_velocity(k + 1)
-        for a, i in enumerate(agents):
-            alpha, beta = ACTION_GAINS[int(actions[a])]
-            gains = OvmParams(
-                alpha=alpha,
-                beta=beta,
-                d_stop=self.ovm.d_stop,
-                d_go=self.ovm.d_go,
-                v_max=self.ovm.v_max,
+        lead_u = (lead_v_next - v_ahead[0]) / dt
+        moved = step_kinematics(agents, v_ahead[0], lead_u, u_cmd, dt)
+        if a:
+            moved = VehicleState(
+                np.concatenate(([math.nan], moved.spacing_m)),
+                np.concatenate(([lead_v_next], moved.velocity_mps)),
+                np.concatenate(([lead_u], moved.accel_mps2)),
             )
-            v_ahead = lead_v_now if i == 0 else v_now[i - 1]
-            u_cmd[i] = ovm_accel(
-                gains, self._states[i].spacing_m, v_now[i], float(v_ahead)
-            )
-
-        # Advance front to back so each follower sees its predecessor's
-        # realized average acceleration (exact for unclipped predecessors).
-        new_states: list[VehicleState] = []
-        prev_v = lead_v_now
-        prev_u = (lead_v_next - lead_v_now) / dt
-        for i in range(self.n_vehicles):
-            if i == 0 and self._profile is not None:
-                new_states.append(
-                    VehicleState(
-                        spacing_m=math.nan,
-                        velocity_mps=lead_v_next,
-                        accel_mps2=prev_u,
-                    )
-                )
-            else:
-                new_states.append(
-                    step_kinematics(self._states[i], prev_v, prev_u, float(u_cmd[i]), dt)
-                )
-            prev_v = self._states[i].velocity_mps
-            prev_u = (new_states[i].velocity_mps - prev_v) / dt
-        self._states = new_states
+        self._state = moved
         self._step_idx = k + 1
+        self._power = electric_power(self.vehicle, moved.velocity_mps, moved.accel_mps2)
 
-        power_all = np.array(
-            [electric_power(self.vehicle, s.velocity_mps, s.accel_mps2) for s in new_states]
-        )
-        rewards = np.empty(len(agents))
-        collision = False
-        for a, i in enumerate(agents):
-            s = new_states[i]
-            r = compute_reward(
-                self.reward,
-                s.spacing_m,
-                s.velocity_mps,
-                s.accel_mps2,
-                float(power_all[i]),
-                cfg.d_star,
-                cfg.v_star,
-            )
-            if s.spacing_m <= MIN_SPACING:
-                collision = True
-                r -= self.reward.collision_penalty
-            rewards[a] = r
+        d, v, u = moved.spacing_m[a:], moved.velocity_mps[a:], moved.accel_mps2[a:]
+        power = self._power[a:]
+        crashed = d <= MIN_SPACING
+        rewards = compute_reward(self.reward, d, v, u, power, cfg.d_star, cfg.v_star)
+        rewards = rewards - self.reward.collision_penalty * crashed
+        self._rewards[a:] = rewards
+        collision = bool(crashed.any())
         done = collision or self._step_idx >= cfg.episode_steps
         self._done = done
-
-        self._last_rows = []
-        for i, s in enumerate(new_states):
-            if i in agents:
-                r_i = float(rewards[agents.index(i)])
-            else:
-                r_i = math.nan
-            self._last_rows.append(
-                VehicleLogRow(
-                    vehicle=i,
-                    spacing_m=s.spacing_m,
-                    velocity_mps=s.velocity_mps,
-                    accel_mps2=s.accel_mps2,
-                    power_kw=float(power_all[i]),
-                    reward=r_i,
-                )
-            )
         info = {
-            "power_kw": power_all[list(agents)],
-            "spacing_m": np.array([new_states[i].spacing_m for i in agents]),
-            "velocity_mps": np.array([new_states[i].velocity_mps for i in agents]),
-            "accel_mps2": np.array([new_states[i].accel_mps2 for i in agents]),
+            "power_kw": power.copy(),
+            "spacing_m": d.copy(),
+            "velocity_mps": v.copy(),
+            "accel_mps2": u.copy(),
         }
         return StepOutcome(
-            observations=self._build_observations(),
+            observations=self._observations(),
             rewards=rewards,
             done=done,
             collision=collision,

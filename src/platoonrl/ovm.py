@@ -6,8 +6,9 @@ agents act by switching the (alpha, beta) feedback gains of this law.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .vehicle import U_MAX, U_MIN
 
@@ -18,19 +19,21 @@ class OvmParams:
 
     alpha: gain on the headway velocity error, 1/s.
     beta: gain on the velocity difference to the predecessor, 1/s.
+    Either gain may be an array that broadcasts against the state: one gain
+    per vehicle, or a (k, 1) column that evaluates k gain pairs at once.
     d_stop: gap (m) at and below which the desired velocity is zero.
     d_go: gap (m) at and above which the desired velocity is v_max.
     v_max: free-flow desired velocity, m/s.
     """
 
-    alpha: float = 0.5
-    beta: float = 0.5
+    alpha: float | np.ndarray = 0.5
+    beta: float | np.ndarray = 0.5
     d_stop: float = 5.0
     d_go: float = 35.0
     v_max: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.beta < 0.0:
+        if np.min(self.alpha) < 0.0 or np.min(self.beta) < 0.0:
             raise ValueError("OvmParams gains must be non-negative")
         if not 0.0 < self.d_stop < self.d_go:
             raise ValueError("OvmParams requires 0 < d_stop < d_go")
@@ -38,23 +41,26 @@ class OvmParams:
             raise ValueError("OvmParams.v_max must be strictly positive")
 
 
-def headway_velocity(params: OvmParams, d: float) -> float:
+def headway_velocity(params: OvmParams, d: float | np.ndarray) -> float | np.ndarray:
     """Desired velocity for gap d: 0 below d_stop, v_max above d_go, and a
     half-cosine ramp in between. Continuous and non-decreasing in d."""
-    if not math.isfinite(d):
+    if not np.isfinite(d).all():
         raise ValueError("headway_velocity requires finite d")
-    if d <= params.d_stop:
-        return 0.0
-    if d >= params.d_go:
-        return params.v_max
-    frac = (d - params.d_stop) / (params.d_go - params.d_stop)
-    return 0.5 * params.v_max * (1.0 - math.cos(math.pi * frac))
+    frac = np.minimum(np.maximum((d - params.d_stop) / (params.d_go - params.d_stop), 0.0), 1.0)
+    return 0.5 * params.v_max * (1.0 - np.cos(np.pi * frac))
 
 
-def ovm_accel(params: OvmParams, d: float, v: float, v_prev: float) -> float:
+def ovm_accel(
+    params: OvmParams,
+    d: float | np.ndarray,
+    v: float | np.ndarray,
+    v_prev: float | np.ndarray,
+) -> float | np.ndarray:
     """Acceleration command u = alpha (v_h(d) - v) + beta (v_prev - v),
-    clipped to the actuation box."""
-    if not (math.isfinite(d) and math.isfinite(v) and math.isfinite(v_prev)):
+    clipped to the actuation box. Takes floats or arrays; array gains
+    broadcast against the state (see OvmParams)."""
+    # d is checked by headway_velocity.
+    if not (np.isfinite(v).all() and np.isfinite(v_prev).all()):
         raise ValueError("ovm_accel requires finite inputs")
     u = params.alpha * (headway_velocity(params, d) - v) + params.beta * (v_prev - v)
-    return min(max(u, U_MIN), U_MAX)
+    return np.minimum(np.maximum(u, U_MIN), U_MAX)

@@ -23,6 +23,7 @@ from .consensus import (
     qsgd_step,
 )
 from .env import (
+    LOG_FIELDS,
     N_ACTIONS,
     OBS_MODES,
     PlatoonEnv,
@@ -80,16 +81,13 @@ class TrainConfig:
 
 @dataclass
 class Trajectory:
-    """One agent's episode: per-step observation vectors, sampled actions,
-    rewards, value estimates, policies, done flags, and the forward records
-    needed for backpropagation."""
+    """One agent's episode: per-step actions, rewards and value estimates,
+    and, when the episode is for learning, the forward records (observation
+    and policy included) needed for backpropagation."""
 
-    observations: list[np.ndarray] = field(default_factory=list)
     actions: list[int] = field(default_factory=list)
     rewards: list[float] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
-    policies: list[np.ndarray] = field(default_factory=list)
-    dones: list[bool] = field(default_factory=list)
     records: list[nn.ForwardRecord] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -132,7 +130,8 @@ def _actor_loss_grads(
 ) -> list[tuple[np.ndarray, float]]:
     """d/dpolicy of  -sum_t A_t log pi(a_t) - entropy_coeff * sum_t H(pi_t)."""
     grads = []
-    for t, policy in enumerate(traj.policies):
+    for t, record in enumerate(traj.records):
+        policy = record.policy
         dp = entropy_coeff * (np.log(policy) + 1.0)
         dp[traj.actions[t]] -= advantages[t] / policy[traj.actions[t]]
         grads.append((dp, 0.0))
@@ -157,51 +156,50 @@ def _clipped_flat(grads: nn.GradBundle, clip: float) -> np.ndarray:
     return flat
 
 
-def _rollout(
+def rollout(
     env: PlatoonEnv,
     nets: list[nn.AgentNet],
     obs_mode: str,
-    rng: np.random.Generator | None,
     episode_seed: int | None,
-) -> tuple[list[Trajectory], bool, int]:
-    """Run one episode. Stochastic policy sampling when rng is given, greedy
-    argmax (lowest index wins ties) otherwise. Returns (trajectories,
-    collision flag, colliding-agent count)."""
+    rng: np.random.Generator | None = None,
+) -> tuple[list[Trajectory], int, np.ndarray]:
+    """Run one episode. With rng, actions are sampled from the policies and
+    the trajectories keep the forward records for learning; without, play is
+    greedy (argmax, lowest index wins ties) and keeps none.
+
+    Returns (trajectories, colliding-agent count, vehicle log), where the log
+    holds env.vehicle_values() after every step: shape
+    (len(LOG_FIELDS), steps, n_vehicles).
+    """
     obs = env.reset(seed=episode_seed)
-    n_agents = env.n_agents
+    obs_dim = obs_dim_for(obs_mode)
     hiddens = [nn.zero_hidden(net.hidden_dim) for net in nets]
-    trajs = [Trajectory() for _ in range(n_agents)]
-    collision = False
-    collisions = 0
-    while True:
+    trajs = [Trajectory() for _ in nets]
+    log = np.empty((len(LOG_FIELDS), env.cfg.episode_steps, env.n_vehicles))
+    for t in range(env.cfg.episode_steps):
         actions = []
         policies = []
-        for i in range(n_agents):
-            vec = obs[i].vector(obs_mode)
-            policy, value, hiddens[i], record = nn.forward(nets[i], vec, hiddens[i])
+        for i, (net, traj) in enumerate(zip(nets, trajs)):
+            policy, value, hiddens[i], record = nn.forward(net, obs[i, :obs_dim], hiddens[i])
             if rng is None:
                 action = int(np.argmax(policy))
             else:
                 action = int(rng.choice(N_ACTIONS, p=policy))
-            trajs[i].observations.append(vec)
-            trajs[i].actions.append(action)
-            trajs[i].values.append(value)
-            trajs[i].policies.append(policy)
-            trajs[i].records.append(record)
+                traj.records.append(record)
+            traj.actions.append(action)
+            traj.values.append(value)
             actions.append(action)
             policies.append(policy)
         fingerprints = np.array(policies) if obs_mode == "fprint" else None
         outcome = env.step(actions, fingerprints)
-        for i in range(n_agents):
-            trajs[i].rewards.append(float(outcome.rewards[i]))
-            trajs[i].dones.append(outcome.done)
+        log[:, t] = env.vehicle_values()
+        for traj, r in zip(trajs, outcome.rewards.tolist()):
+            traj.rewards.append(r)
         if outcome.done:
-            collision = outcome.collision
-            if collision:
-                collisions = int(np.sum(outcome.info["spacing_m"] <= MIN_SPACING))
             break
         obs = outcome.observations
-    return trajs, collision, collisions
+    collisions = int(np.sum(outcome.info["spacing_m"] <= MIN_SPACING)) if outcome.collision else 0
+    return trajs, collisions, log[:, : t + 1]
 
 
 def _update_agent(
@@ -279,7 +277,7 @@ def train(
     while steps_done < cfg.total_steps:
         episode += 1
         ep_seed = int(rng.integers(0, 2**63 - 1))
-        trajs, _, collisions = _rollout(env, nets, cfg.obs_mode, rng, ep_seed)
+        trajs, collisions, _ = rollout(env, nets, cfg.obs_mode, ep_seed, rng)
         steps_done += len(trajs[0])
         for i, net in enumerate(nets):
             residuals[i] = _update_agent(
@@ -411,46 +409,17 @@ class EvalReport:
                 )
 
 
-def _greedy_episode(
-    env: PlatoonEnv, nets: list[nn.AgentNet], obs_mode: str, seed: int
-) -> tuple[EvalRow, list[list]]:
-    """One greedy rollout; returns its statistics row and the per-step
-    per-vehicle log rows. Platoon power and energy sum over all simulated
-    vehicles; spacing/velocity/|accel| statistics cover the agents."""
-    obs = env.reset(seed=seed)
-    hiddens = [nn.zero_hidden(net.hidden_dim) for net in nets]
-    spacings: list[np.ndarray] = []
-    velocities: list[np.ndarray] = []
-    accels: list[np.ndarray] = []
-    step_rows: list[list] = []
-    collisions = 0
-    while True:
-        actions = []
-        policies = []
-        for i in range(env.n_agents):
-            policy, _, hiddens[i], _ = nn.forward(
-                nets[i], obs[i].vector(obs_mode), hiddens[i]
-            )
-            actions.append(int(np.argmax(policy)))
-            policies.append(policy)
-        fingerprints = np.array(policies) if obs_mode == "fprint" else None
-        outcome = env.step(actions, fingerprints)
-        spacings.append(outcome.info["spacing_m"])
-        velocities.append(outcome.info["velocity_mps"])
-        accels.append(np.abs(outcome.info["accel_mps2"]))
-        step_rows.append(env.vehicle_log_rows())
-        if outcome.done:
-            if outcome.collision:
-                collisions = int(np.sum(outcome.info["spacing_m"] <= MIN_SPACING))
-            break
-        obs = outcome.observations
-    sp = np.concatenate(spacings)
-    ve = np.concatenate(velocities)
-    ac = np.concatenate(accels)
-    power = np.array([[r.power_kw for r in rows] for rows in step_rows])
+def episode_row(env: PlatoonEnv, seed: int, collisions: int, log: np.ndarray) -> EvalRow:
+    """Statistics of one rollout from its vehicle log. Platoon power and
+    energy sum over all simulated vehicles; spacing/velocity/|accel|
+    statistics cover the agents."""
+    agents = slice(env.n_vehicles - env.n_agents, None)
+    spacing, velocity, accel, power = log[:4]
+    sp = spacing[:, agents].ravel()
+    ve = velocity[:, agents].ravel()
+    ac = np.abs(accel[:, agents]).ravel()
     platoon_power = power.sum(axis=1)
-    energy_kwh = float(power.sum() * env.cfg.dt / 3600.0)
-    row = EvalRow(
+    return EvalRow(
         seed=seed,
         ivs_mean_m=float(sp.mean()),
         ivs_std_m=float(sp.std()),
@@ -460,10 +429,9 @@ def _greedy_episode(
         accel_std_mps2=float(ac.std()),
         power_mean_kw=float(platoon_power.mean()),
         power_std_kw=float(platoon_power.std()),
-        energy_kwh=energy_kwh,
+        energy_kwh=float(power.sum() * env.cfg.dt / 3600.0),
         collisions=collisions,
     )
-    return row, step_rows
 
 
 def evaluate(
@@ -489,9 +457,9 @@ def evaluate(
     if len(nets) != env.n_agents:
         raise ConfigError(f"expected {env.n_agents} nets, got {len(nets)}")
     rows = []
-    for k in range(n_seeds):
-        row, _ = _greedy_episode(env, nets, obs_mode, scenario.seed + k)
-        rows.append(row)
+    for seed in range(scenario.seed, scenario.seed + n_seeds):
+        _, collisions, log = rollout(env, nets, obs_mode, seed)
+        rows.append(episode_row(env, seed, collisions, log))
     def col(name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in rows])
     aggregate = EvalRow(

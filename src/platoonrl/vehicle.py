@@ -65,46 +65,56 @@ class VehicleParams:
 
 @dataclass(frozen=True)
 class VehicleState:
-    """Kinematic state of one platoon member.
+    """Kinematic state of one platoon member, or of a whole platoon as
+    (n,) arrays ordered front to back.
 
     spacing_m: bumper gap to the preceding vehicle.
     velocity_mps: own longitudinal velocity, clipped to [V_MIN, V_MAX].
     accel_mps2: acceleration applied over the last step, clipped to [U_MIN, U_MAX].
     """
 
-    spacing_m: float
-    velocity_mps: float
-    accel_mps2: float
+    spacing_m: float | np.ndarray
+    velocity_mps: float | np.ndarray
+    accel_mps2: float | np.ndarray
 
 
-def _travel(v: float, u: float, dt: float) -> tuple[float, float]:
+def _require_finite(name: str, *values) -> None:
+    """Raise ValueError unless every element of every value is finite."""
+    for x in values:
+        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+            raise ValueError(f"{name} requires finite inputs")
+
+
+def _travel(v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Distance covered and final velocity over dt under constant u.
 
     The velocity trajectory is clipped to [V_MIN, V_MAX]: once the bound is
     hit the vehicle holds it for the remainder of the step, and the distance
-    integral accounts for that exactly.
+    integral accounts for that exactly. A zero command coasts at v.
     """
-    if u == 0.0:
-        return v * dt, v
     v_end = v + u * dt
-    if V_MIN <= v_end <= V_MAX:
-        return v * dt + 0.5 * u * dt * dt, v_end
-    bound = V_MAX if v_end > V_MAX else V_MIN
-    t_hit = (bound - v) / u
-    t_hit = min(max(t_hit, 0.0), dt)
-    dist = v * t_hit + 0.5 * u * t_hit * t_hit + bound * (dt - t_hit)
-    return dist, bound
+    dist = v * dt + 0.5 * u * dt * dt
+    if V_MIN <= v_end.min() and v_end.max() <= V_MAX:
+        return dist, v_end
+    clipped = (u != 0.0) & ((v_end < V_MIN) | (v_end > V_MAX))
+    bound = np.where(v_end > V_MAX, V_MAX, V_MIN)
+    t_hit = np.clip((bound - v) / np.where(clipped, u, 1.0), 0.0, dt)
+    dist_clipped = v * t_hit + 0.5 * u * t_hit * t_hit + bound * (dt - t_hit)
+    return np.where(clipped, dist_clipped, dist), np.where(clipped, bound, v_end)
 
 
 def step_kinematics(
     state: VehicleState,
     v_prev: float,
     u_prev: float,
-    u_cmd: float,
+    u_cmd: float | np.ndarray,
     dt: float,
 ) -> VehicleState:
-    """Advance one vehicle by dt behind a predecessor moving at (v_prev, u_prev).
+    """Advance one vehicle, or a platoon of them, by dt.
 
+    (v_prev, u_prev) is the motion of the first vehicle's predecessor over
+    the step. In a platoon state every later vehicle follows the one ahead
+    of it, at that vehicle's realized average acceleration (v' - v) / dt.
     The commanded acceleration is clipped to the actuation box, own velocity
     to [V_MIN, V_MAX]. Spacing integrates both trajectories exactly under
     piecewise-constant acceleration:
@@ -112,38 +122,46 @@ def step_kinematics(
         d' = d + (v_prev - v) dt + (u_prev - u) dt^2 / 2
 
     with the own-velocity clip, when it binds, integrated consistently
-    (velocity held at the bound for the clipped portion of the step).
+    (velocity held at the bound for the clipped portion of the step). The
+    predecessor term is exact unless the predecessor's own clip binds.
     """
-    inputs = (state.spacing_m, state.velocity_mps, v_prev, u_prev, u_cmd, dt)
-    if not all(math.isfinite(x) for x in inputs):
-        raise ValueError("step_kinematics requires finite inputs")
+    d = np.asarray(state.spacing_m, dtype=float)
+    v = np.asarray(state.velocity_mps, dtype=float)
+    u_cmd = np.asarray(u_cmd, dtype=float)
+    _require_finite("step_kinematics", d, v, u_cmd, v_prev, u_prev, dt)
     if dt <= 0.0:
         raise ValueError("step_kinematics requires dt > 0")
-    u = min(max(u_cmd, U_MIN), U_MAX)
-    dist_self, v_new = _travel(state.velocity_mps, u, dt)
-    dist_prev = v_prev * dt + 0.5 * u_prev * dt * dt
+    u = np.minimum(np.maximum(u_cmd, U_MIN), U_MAX)
+    dist_self, v_new = _travel(v, u, dt)
+    v_flat, v_new_flat = v.reshape(-1), v_new.reshape(-1)
+    v_ahead = np.concatenate(([v_prev], v_flat[:-1]))
+    u_ahead = np.concatenate(([u_prev], (v_new_flat[:-1] - v_flat[:-1]) / dt))
+    dist_prev = (v_ahead * dt + 0.5 * u_ahead * dt * dt).reshape(v.shape)
     return VehicleState(
-        spacing_m=state.spacing_m + dist_prev - dist_self,
-        velocity_mps=v_new,
-        accel_mps2=u,
+        spacing_m=(d + dist_prev - dist_self)[()],
+        velocity_mps=v_new[()],
+        accel_mps2=u[()],
     )
 
 
-def driving_force(params: VehicleParams, v: float, u: float) -> float:
+def driving_force(
+    params: VehicleParams, v: float | np.ndarray, u: float | np.ndarray
+) -> float | np.ndarray:
     """Tractive force in N at velocity v and acceleration u on flat road.
 
     Sum of inertial force, rolling resistance, and aerodynamic drag:
 
         F = m u + m g f + (1/2) rho A_f C_d v^2
     """
-    if not (math.isfinite(v) and math.isfinite(u)):
-        raise ValueError("driving_force requires finite v and u")
+    _require_finite("driving_force", v, u)
     rolling = params.mass_kg * GRAVITY * params.rolling_coeff
     drag = 0.5 * params.air_density * params.frontal_area_m2 * params.drag_coeff * v * v
     return params.mass_kg * u + rolling + drag
 
 
-def electric_power(params: VehicleParams, v: float, u: float) -> float:
+def electric_power(
+    params: VehicleParams, v: float | np.ndarray, u: float | np.ndarray
+) -> float | np.ndarray:
     """Battery-side electric power in kW at operating point (v, u).
 
     Wheel power F*v is divided by the drivetrain efficiency when driving and
@@ -154,11 +172,8 @@ def electric_power(params: VehicleParams, v: float, u: float) -> float:
         P = F v * eta   otherwise
     """
     wheel_w = driving_force(params, v, u) * v
-    if wheel_w >= 0.0:
-        battery_w = wheel_w / params.drivetrain_eff
-    else:
-        battery_w = wheel_w * params.drivetrain_eff
-    return battery_w / 1000.0
+    eta = params.drivetrain_eff
+    return (np.where(wheel_w >= 0.0, wheel_w / eta, wheel_w * eta) / 1000.0)[()]
 
 
 @dataclass(frozen=True)
@@ -218,9 +233,7 @@ def fit_energy_poly(
     vv, uu = np.meshgrid(v_grid, u_grid, indexing="ij")
     v_flat = vv.reshape(-1)
     u_flat = uu.reshape(-1)
-    target = np.array(
-        [electric_power(params, v, u) for v, u in zip(v_flat, u_flat)]
-    )
+    target = electric_power(params, v_flat, u_flat)
     design = _poly_design(v_flat, u_flat)
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 25:

@@ -1,0 +1,37 @@
+"""The benchmark's traced run works against this package.
+
+``bench/run.py --trace 1`` wraps platoonrl's public functions, looked up by
+name (``bench/spans.py`` LAYER_TARGETS: the physics functions in
+``platoonrl.env``'s namespace, ``PlatoonEnv.step``/``reset``, the ``nn``
+functions and ``train.apply_consensus``), so a change that renames one of
+them breaks the benchmark; this test fails first. The replay workload is
+the quickest, and installing the tracer looks up every name whichever
+workload runs. It also holds the environment to about one call per
+physics function per platoon step.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_replay_benchmark_runs_clean():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "replay-n16-ovm",
+         "--seed", "0", "--seconds", "0.01", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, result
+    # One call each to ovm_accel, step_kinematics, electric_power and
+    # headway_velocity (observations) per step, plus two per reset; the
+    # per-vehicle environment made 61 on this workload.
+    calls = result["metrics"]["physics.calls_per_step"]["value"]
+    assert calls <= 5, calls

@@ -137,6 +137,15 @@ class TestEvalCli:
         assert len(lines) == 4, "two eval seeds plus aggregate"
         assert lines[-1].startswith("all,")
 
+    def test_checkpoint_obs_mode_mismatch_is_config_error(self, tiny_config, capsys):
+        # ia2c checkpoints take 15 observation values; fprint gives 23
+        assert run_cli("train", "--config", str(tiny_config)) == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(tiny_config), "--obs-mode", "fprint") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "agent0.npz" in err and "'fprint'" in err
+
     def test_eval_without_checkpoints_uses_fresh_nets(self, tiny_config, tmp_path, capsys):
         assert run_cli(
             "eval", "--config", str(tiny_config),

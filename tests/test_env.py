@@ -24,6 +24,7 @@ from platoonrl.env import (
 from platoonrl.errors import ConfigError
 
 W = RewardWeights()
+IA2C = obs_dim_for("ia2c")
 
 EQ_REWARD = -0.3602837
 
@@ -123,17 +124,13 @@ class TestReset:
         env = PlatoonEnv(ScenarioConfig())
         a = env.reset(seed=9)
         b = env.reset(seed=9)
-        for oa, ob in zip(a, b):
-            assert np.array_equal(oa.vector("ia2c"), ob.vector("ia2c"))
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         env = PlatoonEnv(ScenarioConfig())
         a = env.reset(seed=1)
         b = env.reset(seed=2)
-        assert any(
-            not np.array_equal(oa.vector("ia2c"), ob.vector("ia2c"))
-            for oa, ob in zip(a, b)
-        )
+        assert not np.array_equal(a[:, :IA2C], b[:, :IA2C])
 
     def test_zero_jitter_starts_on_set_point(self):
         env = PlatoonEnv(quiet_scenario())
@@ -145,23 +142,21 @@ class TestReset:
     def test_observation_lengths(self):
         env = PlatoonEnv(ScenarioConfig())
         obs = env.reset()
-        assert len(obs) == 4
-        for o in obs:
-            assert o.vector("ia2c").shape == (15,)
-            assert o.vector("fprint").shape == (23,)
+        assert obs.shape == (4, 23)
+        assert obs[:, :IA2C].shape == (4, 15)
 
     def test_platoon_ends_zero_padded(self):
         env = PlatoonEnv(quiet_scenario())
         obs = env.reset()
-        first = obs[0].vector("ia2c")
-        last = obs[-1].vector("ia2c")
+        first = obs[0, :IA2C]
+        last = obs[-1, :IA2C]
         assert np.array_equal(first[5:10], np.zeros(5)), "no vehicle ahead of 0"
         assert np.array_equal(last[10:15], np.zeros(5))
 
     def test_fingerprints_start_uniform(self):
         env = PlatoonEnv(quiet_scenario())
         obs = env.reset()
-        middle = obs[1].vector("fprint")
+        middle = obs[1]
         assert np.array_equal(middle[15:19], np.full(4, 0.25))
         assert np.array_equal(middle[19:23], np.full(4, 0.25))
 
@@ -205,10 +200,10 @@ class TestStep:
         )
         env = PlatoonEnv(cfg)
         obs = env.reset()
-        gaps = {0: obs[0].vector("ia2c")[1]}
+        gaps = {0: obs[0, 1]}
         for k in range(1, 36):
             obs = env.step([0, 0]).observations
-            gaps[k] = obs[0].vector("ia2c")[1]
+            gaps[k] = obs[0, 1]
         assert gaps[0] == 0.0
         assert gaps[10] == pytest.approx(0.0, abs=1e-12), "dip starts at 1 s"
         assert gaps[15] == pytest.approx(-0.75, abs=1e-12), "halfway down"
@@ -273,10 +268,10 @@ class TestStep:
             [0.0, 0.0, 1.0, 0.0],
         ])
         obs = env.step([0, 0, 0], fingerprints=fps).observations
-        middle = obs[1].vector("fprint")
+        middle = obs[1]
         assert np.array_equal(middle[15:19], fps[0]), "front neighbor's policy"
         assert np.array_equal(middle[19:23], fps[2]), "rear neighbor's policy"
-        first = obs[0].vector("fprint")
+        first = obs[0]
         assert np.array_equal(first[15:19], np.zeros(4)), "no agent ahead"
         assert np.array_equal(first[19:23], fps[1])
 
@@ -300,8 +295,7 @@ class TestStep:
         env = PlatoonEnv(cfg, leader_profile=profile)
         obs = env.reset()
         for _ in range(59):
-            vecs = [o.vector("ia2c") for o in obs]
-            for vec in vecs:
+            for vec in obs[:, :IA2C]:
                 for block in (vec[0:5], vec[5:10], vec[10:15]):
                     assert -2.0 <= block[1] <= 2.0
                     assert -2.0 <= block[2] <= 2.0
