@@ -146,6 +146,12 @@ def _nets_for(
     """Load checkpoints when available, else fresh seeded networks."""
     obs_dim = obs_dim_for(cfg.train.obs_mode)
     if checkpoint_dir is not None and Path(checkpoint_dir).exists():
+        found = len(list(Path(checkpoint_dir).glob("agent*.npz")))
+        if found != n_agents:
+            raise ConfigError(
+                f"{checkpoint_dir} holds {found} agent checkpoints, "
+                f"but the scenario has {n_agents} agents"
+            )
         nets = load_checkpoints(checkpoint_dir, n_agents)
         for i, net in enumerate(nets):
             if net.obs_dim != obs_dim:
@@ -155,7 +161,7 @@ def _nets_for(
                 )
         return nets, f"checkpoints from {checkpoint_dir}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    nets = [nn.init_agent_net(obs_dim, 64, N_ACTIONS, rng) for _ in range(n_agents)]
+    nets = [nn.init_agent_net(obs_dim, nn.HIDDEN_DIM, N_ACTIONS, rng) for _ in range(n_agents)]
     return nets, "untrained networks (no checkpoint found)"
 
 

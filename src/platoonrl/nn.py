@@ -8,58 +8,88 @@ Everything is float64 numpy. The recurrent state is an explicit (h, c) pair
 carried by the caller; forward() mutates nothing, so identical inputs always
 produce identical outputs.
 
-Parameter flattening contract (used by the consensus protocols and the
-checkpoints): the vector is the row-major (C-order) concatenation of
-
-    input_w (hidden, obs), input_b (hidden,),
-    lstm_wx (4*hidden, hidden), lstm_wh (4*hidden, hidden), lstm_b (4*hidden,),
-    actor_w (n_actions, hidden), actor_b (n_actions,),
-    critic_w (1, hidden), critic_b (1,)
-
-with the LSTM gate blocks ordered input, forget, cell, output along the
-4*hidden axis.
+Parameter buffer: each AgentNet owns one flat vector, `params`, and its
+named weight arrays are views into it, so writing either one changes both.
+param_layout() gives the (name, shape) of each array in vector order, with
+every array stored row-major and the LSTM gate blocks ordered input, forget,
+cell, output along the 4*hidden axis. That order is the contract the
+consensus protocols, the gradient step and the checkpoints share; backward()
+returns its gradient in the same layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import os
+import zipfile
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .errors import DataError
 
-@dataclass
-class LayerParams:
-    weights: np.ndarray  # (out, in)
-    biases: np.ndarray  # (out,)
+HIDDEN_DIM = 64  # LSTM width of every network the package builds by default
 
-
-@dataclass
-class LstmParams:
-    w_x: np.ndarray  # (4*hidden, in)
-    w_h: np.ndarray  # (4*hidden, hidden)
-    biases: np.ndarray  # (4*hidden,)
+_CHECKPOINT_KEYS = ("flat", "obs_dim", "hidden_dim", "n_actions")
 
 
-@dataclass
+def param_layout(
+    obs_dim: int, hidden_dim: int, n_actions: int
+) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of every parameter array, in flat-vector order."""
+    return (
+        ("input_w", (hidden_dim, obs_dim)),
+        ("input_b", (hidden_dim,)),
+        ("lstm_wx", (4 * hidden_dim, hidden_dim)),
+        ("lstm_wh", (4 * hidden_dim, hidden_dim)),
+        ("lstm_b", (4 * hidden_dim,)),
+        ("actor_w", (n_actions, hidden_dim)),
+        ("actor_b", (n_actions,)),
+        ("critic_w", (1, hidden_dim)),
+        ("critic_b", (1,)),
+    )
+
+
+def _views(
+    flat: np.ndarray, layout: tuple[tuple[str, tuple[int, ...]], ...]
+) -> dict[str, np.ndarray]:
+    """Named views into `flat`, shaped by `layout`."""
+    out = {}
+    offset = 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        out[name] = flat[offset : offset + n].reshape(shape)
+        offset += n
+    return out
+
+
 class AgentNet:
-    input_fc: LayerParams
-    lstm: LstmParams
-    actor: LayerParams
-    critic: LayerParams
+    """One agent's parameters: the flat float64 vector `params` plus a view
+    into it per param_layout() entry (net.input_w, net.lstm_wx, ...). Write
+    `params` in place; rebinding it would detach the views."""
 
-    @property
-    def obs_dim(self) -> int:
-        return self.input_fc.weights.shape[1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.input_fc.weights.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.actor.weights.shape[0]
+    def __init__(
+        self,
+        obs_dim: int,
+        hidden_dim: int,
+        n_actions: int,
+        params: np.ndarray | None = None,
+    ) -> None:
+        if obs_dim < 1 or hidden_dim < 1 or n_actions < 2:
+            raise ValueError("network dimensions out of range")
+        self.obs_dim = obs_dim
+        self.hidden_dim = hidden_dim
+        self.n_actions = n_actions
+        self.layout = param_layout(obs_dim, hidden_dim, n_actions)
+        size = sum(math.prod(shape) for _, shape in self.layout)
+        self.params = np.zeros(size) if params is None else np.array(params, dtype=float)
+        if self.params.shape != (size,):
+            raise ValueError(
+                f"dims ({obs_dim}, {hidden_dim}, {n_actions}) take {size} parameters, "
+                f"got shape {self.params.shape}"
+            )
+        self.__dict__.update(_views(self.params, self.layout))
 
 
 class Hidden(NamedTuple):
@@ -85,36 +115,6 @@ class ForwardRecord(NamedTuple):
     policy: np.ndarray
 
 
-@dataclass
-class GradBundle:
-    """Accumulated parameter gradients, shape-congruent with AgentNet."""
-
-    input_w: np.ndarray
-    input_b: np.ndarray
-    lstm_wx: np.ndarray
-    lstm_wh: np.ndarray
-    lstm_b: np.ndarray
-    actor_w: np.ndarray
-    actor_b: np.ndarray
-    critic_w: np.ndarray
-    critic_b: np.ndarray
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.input_w.ravel(),
-                self.input_b,
-                self.lstm_wx.ravel(),
-                self.lstm_wh.ravel(),
-                self.lstm_b,
-                self.actor_w.ravel(),
-                self.actor_b,
-                self.critic_w.ravel(),
-                self.critic_b,
-            ]
-        )
-
-
 def orthogonal_init(
     shape: tuple[int, int], gain: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -131,36 +131,25 @@ def orthogonal_init(
 
 def init_agent_net(
     obs_dim: int,
-    hidden_dim: int = 64,
+    hidden_dim: int = HIDDEN_DIM,
     n_actions: int = 4,
     rng: np.random.Generator | None = None,
 ) -> AgentNet:
     """Fresh network: orthogonal weights (gain 1.0 on the trunk, 0.01 on both
     heads so initial policies are near uniform and values near zero), zero
-    biases."""
-    if obs_dim < 1 or hidden_dim < 1 or n_actions < 2:
-        raise ValueError("init_agent_net dimensions out of range")
+    biases. The matrices are drawn in layout order."""
+    net = AgentNet(obs_dim, hidden_dim, n_actions)
     if rng is None:
         rng = np.random.default_rng()
-    return AgentNet(
-        input_fc=LayerParams(
-            weights=orthogonal_init((hidden_dim, obs_dim), 1.0, rng),
-            biases=np.zeros(hidden_dim),
-        ),
-        lstm=LstmParams(
-            w_x=orthogonal_init((4 * hidden_dim, hidden_dim), 1.0, rng),
-            w_h=orthogonal_init((4 * hidden_dim, hidden_dim), 1.0, rng),
-            biases=np.zeros(4 * hidden_dim),
-        ),
-        actor=LayerParams(
-            weights=orthogonal_init((n_actions, hidden_dim), 0.01, rng),
-            biases=np.zeros(n_actions),
-        ),
-        critic=LayerParams(
-            weights=orthogonal_init((1, hidden_dim), 0.01, rng),
-            biases=np.zeros(1),
-        ),
-    )
+    for w, gain in (
+        (net.input_w, 1.0),
+        (net.lstm_wx, 1.0),
+        (net.lstm_wh, 1.0),
+        (net.actor_w, 0.01),
+        (net.critic_w, 0.01),
+    ):
+        w[...] = orthogonal_init(w.shape, gain, rng)
+    return net
 
 
 def zero_hidden(hidden_dim: int) -> Hidden:
@@ -189,8 +178,8 @@ def forward(
     if obs.shape != (net.obs_dim,):
         raise ValueError(f"expected obs shape ({net.obs_dim},), got {obs.shape}")
     hd = net.hidden_dim
-    x = np.tanh(net.input_fc.weights @ obs + net.input_fc.biases)
-    z = net.lstm.w_x @ x + net.lstm.w_h @ hidden.h + net.lstm.biases
+    x = np.tanh(net.input_w @ obs + net.input_b)
+    z = net.lstm_wx @ x + net.lstm_wh @ hidden.h + net.lstm_b
     gate_i = _sigmoid(z[:hd])
     gate_f = _sigmoid(z[hd : 2 * hd])
     gate_g = np.tanh(z[2 * hd : 3 * hd])
@@ -198,11 +187,11 @@ def forward(
     c_new = gate_f * hidden.c + gate_i * gate_g
     tanh_c = np.tanh(c_new)
     h_new = gate_o * tanh_c
-    logits = net.actor.weights @ h_new + net.actor.biases
+    logits = net.actor_w @ h_new + net.actor_b
     logits = logits - logits.max()
     exp_l = np.exp(logits)
     policy = exp_l / exp_l.sum()
-    value = float((net.critic.weights @ h_new + net.critic.biases)[0])
+    value = float((net.critic_w @ h_new + net.critic_b)[0])
     if not (np.all(np.isfinite(policy)) and np.isfinite(value)):
         raise FloatingPointError("non-finite network output")
     record = ForwardRecord(
@@ -221,45 +210,33 @@ def forward(
     return policy, value, Hidden(h=h_new, c=c_new), record
 
 
-def zero_grads(net: AgentNet) -> GradBundle:
-    return GradBundle(
-        input_w=np.zeros_like(net.input_fc.weights),
-        input_b=np.zeros_like(net.input_fc.biases),
-        lstm_wx=np.zeros_like(net.lstm.w_x),
-        lstm_wh=np.zeros_like(net.lstm.w_h),
-        lstm_b=np.zeros_like(net.lstm.biases),
-        actor_w=np.zeros_like(net.actor.weights),
-        actor_b=np.zeros_like(net.actor.biases),
-        critic_w=np.zeros_like(net.critic.weights),
-        critic_b=np.zeros_like(net.critic.biases),
-    )
-
-
 def backward(
     net: AgentNet,
     records: list[ForwardRecord],
     loss_grads: list[tuple[np.ndarray, float]],
-) -> GradBundle:
+) -> np.ndarray:
     """Backpropagation through time over one episode.
 
     records come from forward() in step order; loss_grads[t] holds
-    (dL/dpolicy_t, dL/dvalue_t). Returns parameter gradients summed over all
-    steps. The softmax Jacobian is applied here, so callers express losses
-    directly in terms of the policy probabilities.
+    (dL/dpolicy_t, dL/dvalue_t). Returns the parameter gradient summed over
+    all steps, as a flat vector in net.params' layout. The softmax Jacobian
+    is applied here, so callers express losses directly in terms of the
+    policy probabilities.
     """
     if len(records) != len(loss_grads):
         raise ValueError("records and loss_grads must have equal length")
-    g = zero_grads(net)
+    grad = np.zeros(net.params.size)
+    g = _views(grad, net.layout)
     dh_next = np.zeros(net.hidden_dim)
     dc_next = np.zeros(net.hidden_dim)
     for rec, (d_policy, d_value) in zip(reversed(records), reversed(loss_grads)):
         p = rec.policy
         d_logits = p * (d_policy - p @ d_policy)
-        g.actor_w += np.outer(d_logits, rec.h_new)
-        g.actor_b += d_logits
-        g.critic_w += d_value * rec.h_new[None, :]
-        g.critic_b += d_value
-        dh = net.actor.weights.T @ d_logits + d_value * net.critic.weights[0] + dh_next
+        g["actor_w"] += np.outer(d_logits, rec.h_new)
+        g["actor_b"] += d_logits
+        g["critic_w"] += d_value * rec.h_new[None, :]
+        g["critic_b"] += d_value
+        dh = net.actor_w.T @ d_logits + d_value * net.critic_w[0] + dh_next
         d_o = dh * rec.tanh_c
         dc = dh * rec.gate_o * (1.0 - rec.tanh_c**2) + dc_next
         d_i = dc * rec.gate_g
@@ -273,82 +250,69 @@ def backward(
                 d_o * rec.gate_o * (1.0 - rec.gate_o),
             ]
         )
-        g.lstm_wx += np.outer(dz, rec.x)
-        g.lstm_wh += np.outer(dz, rec.h_prev)
-        g.lstm_b += dz
-        dx = net.lstm.w_x.T @ dz
-        dh_next = net.lstm.w_h.T @ dz
+        g["lstm_wx"] += np.outer(dz, rec.x)
+        g["lstm_wh"] += np.outer(dz, rec.h_prev)
+        g["lstm_b"] += dz
+        dx = net.lstm_wx.T @ dz
+        dh_next = net.lstm_wh.T @ dz
         dc_next = dc * rec.gate_f
         d_pre = dx * (1.0 - rec.x**2)
-        g.input_w += np.outer(d_pre, rec.obs)
-        g.input_b += d_pre
-    return g
+        g["input_w"] += np.outer(d_pre, rec.obs)
+        g["input_b"] += d_pre
+    return grad
 
 
 def flatten_params(net: AgentNet) -> np.ndarray:
-    """Parameter vector in the module-level flattening contract order."""
-    return np.concatenate(
-        [
-            net.input_fc.weights.ravel(),
-            net.input_fc.biases,
-            net.lstm.w_x.ravel(),
-            net.lstm.w_h.ravel(),
-            net.lstm.biases,
-            net.actor.weights.ravel(),
-            net.actor.biases,
-            net.critic.weights.ravel(),
-            net.critic.biases,
-        ]
-    )
+    """A copy of the parameter vector."""
+    return net.params.copy()
 
 
 def param_count(net: AgentNet) -> int:
-    return flatten_params(net).size
+    return net.params.size
 
 
 def set_flat_params(net: AgentNet, flat: np.ndarray) -> None:
-    """Write a flat vector (same contract as flatten_params) back into net."""
+    """Overwrite the parameter vector in place with `flat` (same layout)."""
     flat = np.asarray(flat, dtype=float)
-    if flat.shape != (param_count(net),):
-        raise ValueError(f"expected {param_count(net)} parameters, got {flat.shape}")
-    arrays = [
-        net.input_fc.weights,
-        net.input_fc.biases,
-        net.lstm.w_x,
-        net.lstm.w_h,
-        net.lstm.biases,
-        net.actor.weights,
-        net.actor.biases,
-        net.critic.weights,
-        net.critic.biases,
-    ]
-    offset = 0
-    for arr in arrays:
-        n = arr.size
-        arr[...] = flat[offset : offset + n].reshape(arr.shape)
-        offset += n
+    if flat.shape != net.params.shape:
+        raise ValueError(f"expected {net.params.size} parameters, got {flat.shape}")
+    net.params[...] = flat
 
 
 def save_params(net: AgentNet, path: str | Path) -> None:
-    """Checkpoint: flat float64 parameter vector plus a dimensions header."""
-    np.savez(
-        path,
-        flat=flatten_params(net),
-        obs_dim=net.obs_dim,
-        hidden_dim=net.hidden_dim,
-        n_actions=net.n_actions,
-    )
+    """Checkpoint: flat float64 parameter vector plus a dimensions header.
+    Written to a temporary file beside `path` and then moved over it, so an
+    interrupted write leaves any earlier checkpoint intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
+    try:
+        np.savez(
+            tmp,
+            flat=net.params,
+            obs_dim=net.obs_dim,
+            hidden_dim=net.hidden_dim,
+            n_actions=net.n_actions,
+        )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_params(path: str | Path) -> AgentNet:
-    """Rebuild a network from save_params output; round-trips exactly."""
-    with np.load(path) as data:
-        obs_dim = int(data["obs_dim"])
-        hidden_dim = int(data["hidden_dim"])
-        n_actions = int(data["n_actions"])
-        flat = data["flat"]
-    net = init_agent_net(
-        obs_dim, hidden_dim, n_actions, rng=np.random.default_rng(0)
-    )
-    set_flat_params(net, flat)
-    return net
+    """Rebuild a network from save_params output; round-trips exactly.
+    Raises DataError when the file is not a checkpoint, lacks an entry, or
+    holds a vector whose length does not match its dimensions."""
+    try:
+        with np.load(path) as data:
+            entries = {k: data[k] for k in _CHECKPOINT_KEYS if k in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a readable checkpoint ({exc})") from None
+    missing = [k for k in _CHECKPOINT_KEYS if k not in entries]
+    if missing:
+        raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    dims = [int(entries[k]) for k in ("obs_dim", "hidden_dim", "n_actions")]
+    try:
+        return AgentNet(*dims, params=entries["flat"])
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -148,12 +148,11 @@ def _critic_loss_grads(
     ]
 
 
-def _clipped_flat(grads: nn.GradBundle, clip: float) -> np.ndarray:
-    flat = grads.flatten()
-    norm = float(np.linalg.norm(flat))
+def _clipped(grad: np.ndarray, clip: float) -> np.ndarray:
+    norm = float(np.linalg.norm(grad))
     if norm > clip:
-        flat = flat * (clip / norm)
-    return flat
+        grad = grad * (clip / norm)
+    return grad
 
 
 def rollout(
@@ -219,22 +218,21 @@ def _update_agent(
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
     g_actor = nn.backward(net, traj.records, _actor_loss_grads(traj, advantages, cfg.entropy_coeff))
     g_critic = nn.backward(net, traj.records, _critic_loss_grads(traj, returns))
-    flat_actor = _clipped_flat(g_actor, cfg.grad_clip)
-    flat_critic = _clipped_flat(g_critic, cfg.grad_clip)
-    if not (np.all(np.isfinite(flat_actor)) and np.all(np.isfinite(flat_critic))):
+    g_actor = _clipped(g_actor, cfg.grad_clip)
+    g_critic = _clipped(g_critic, cfg.grad_clip)
+    if not (np.all(np.isfinite(g_actor)) and np.all(np.isfinite(g_critic))):
         raise RuntimeError(
             f"non-finite gradients at episode {episode}, agent {agent}"
         )
     if cfg.compress_gradients:
         assert residuals is not None
         res_a, res_c = residuals
-        w = nn.flatten_params(net)
-        w, res_a = qsgd_step(w, flat_actor, res_a, cfg.actor_lr, cfg.consensus.tau)
-        w, res_c = qsgd_step(w, flat_critic, res_c, cfg.critic_lr, cfg.consensus.tau)
-        nn.set_flat_params(net, w)
+        w, res_a = qsgd_step(net.params, g_actor, res_a, cfg.actor_lr, cfg.consensus.tau)
+        w, res_c = qsgd_step(w, g_critic, res_c, cfg.critic_lr, cfg.consensus.tau)
+        net.params[...] = w
         return res_a, res_c
-    w = nn.flatten_params(net) - cfg.actor_lr * flat_actor - cfg.critic_lr * flat_critic
-    nn.set_flat_params(net, w)
+    net.params -= cfg.actor_lr * g_actor
+    net.params -= cfg.critic_lr * g_critic
     return residuals
 
 
@@ -247,7 +245,7 @@ def train(
     ovm: OvmParams | None = None,
     reward: RewardWeights | None = None,
     leader_profile: np.ndarray | None = None,
-    hidden_dim: int = 64,
+    hidden_dim: int = nn.HIDDEN_DIM,
     checkpoint_dir: str | Path | None = None,
 ) -> TrainResult:
     """Train all agents until total_steps env steps are consumed (the last
@@ -284,12 +282,14 @@ def train(
                 cfg, net, trajs[i], residuals[i], episode, i
             )
         if cfg.consensus.protocol != "none" and episode % cfg.consensus.period == 0:
-            weights = [nn.flatten_params(net) for net in nets]
             mixed = apply_consensus(
-                cfg.consensus.protocol, weights, cfg.consensus.eps, cfg.consensus.tau
+                cfg.consensus.protocol,
+                [net.params for net in nets],
+                cfg.consensus.eps,
+                cfg.consensus.tau,
             )
             for net, w in zip(nets, mixed):
-                nn.set_flat_params(net, w)
+                net.params[...] = w
             comm_bits += comm_bits_per_round(
                 cfg.consensus.protocol, n_params, env.n_agents
             )
@@ -492,7 +492,7 @@ def compare_protocols(
     protocols: list[str],
     *,
     seed: int | None = None,
-    hidden_dim: int = 64,
+    hidden_dim: int = nn.HIDDEN_DIM,
 ) -> dict[str, ProtocolRun]:
     """Train one run per protocol with matched seed and scenario, then
     evaluate each; results share episode counts by construction."""

@@ -7,7 +7,9 @@ functions and ``train.apply_consensus``), so a change that renames one of
 them breaks the benchmark; this test fails first. The replay workload is
 the quickest, and installing the tracer looks up every name whichever
 workload runs. It also holds the environment to about one call per
-physics function per platoon step.
+physics function per platoon step. The training workload is checked too,
+because only it reaches ``nn.backward`` and ``train.apply_consensus``: a
+training path that called either through another name would run untraced.
 """
 
 import json
@@ -18,9 +20,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_replay_benchmark_runs_clean():
+def run_traced(workload: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "replay-n16-ovm",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0.01", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
@@ -30,8 +32,20 @@ def test_traced_replay_benchmark_runs_clean():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, result
+    return result
+
+
+def test_traced_replay_benchmark_runs_clean():
+    result = run_traced("replay-n16-ovm")
     # One call each to ovm_accel, step_kinematics, electric_power and
     # headway_velocity (observations) per step, plus two per reset; the
     # per-vehicle environment made 61 on this workload.
     calls = result["metrics"]["physics.calls_per_step"]["value"]
     assert calls <= 5, calls
+
+
+def test_traced_train_benchmark_sees_backward_and_consensus():
+    metrics = run_traced("train-n4")["metrics"]
+    # An actor and a critic pass per agent per episode, 4 agents.
+    assert metrics["nn.backward.calls_per_episode"]["value"] == 8
+    assert metrics["consensus.rounds"]["value"] >= 1

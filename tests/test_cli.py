@@ -146,6 +146,31 @@ class TestEvalCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "agent0.npz" in err and "'fprint'" in err
 
+    @pytest.mark.parametrize("defect", ["one parameter short", "no hidden_dim"])
+    def test_bad_checkpoint_is_data_error(self, defect, tiny_config, tmp_path, capsys):
+        assert run_cli("train", "--config", str(tiny_config)) == 0
+        path = tmp_path / "runs" / "checkpoints" / "seed0" / "agent1.npz"
+        with np.load(path) as data:
+            entries = dict(data)
+        if defect == "one parameter short":
+            entries["flat"] = entries["flat"][:-1]
+        else:
+            del entries["hidden_dim"]
+        np.savez(path, **entries)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(tiny_config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "agent1.npz" in err
+
+    def test_agent_count_mismatch_is_config_error(self, tiny_config, capsys):
+        assert run_cli("train", "--config", str(tiny_config), "--n-vehicles", "3") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(tiny_config), "--n-vehicles", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "3 agent checkpoints" in err and "2 agents" in err
+
     def test_eval_without_checkpoints_uses_fresh_nets(self, tiny_config, tmp_path, capsys):
         assert run_cli(
             "eval", "--config", str(tiny_config),

@@ -6,9 +6,12 @@ while one flat parameter at a time is bumped by ±1e-5. Analytic and FD
 values must agree within 1e-4 relative with a 1e-6 absolute floor.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from platoonrl.errors import DataError
 from platoonrl.nn import (
     AgentNet,
     backward,
@@ -20,10 +23,10 @@ from platoonrl.nn import (
     param_count,
     save_params,
     set_flat_params,
-    zero_grads,
     zero_hidden,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 OBS_DIM = 5
 HIDDEN = 8
 N_ACTIONS = 4
@@ -85,9 +88,9 @@ def random_case(seed: int):
     sequence, and a loss."""
     rng = np.random.default_rng(seed)
     net = make_net(seed)
-    net.actor.weights *= rng.uniform(1.0, 40.0)
-    net.actor.biases += rng.normal(scale=0.3, size=N_ACTIONS)
-    net.critic.weights *= rng.uniform(1.0, 40.0)
+    net.actor_w *= rng.uniform(1.0, 40.0)
+    net.actor_b += rng.normal(scale=0.3, size=N_ACTIONS)
+    net.critic_w *= rng.uniform(1.0, 40.0)
     n_steps = int(rng.integers(1, 9))
     obs_seq = rng.normal(scale=rng.uniform(0.3, 3.0), size=(n_steps, OBS_DIM))
     terms = []
@@ -112,7 +115,7 @@ def check_gradients(net, obs_seq, loss, coords):
     """Assert analytic BPTT matches central differences on the given flat
     coordinates."""
     policies, values, records = run_sequence(net, obs_seq)
-    analytic = backward(net, records, loss.grads(policies, values)).flatten()
+    analytic = backward(net, records, loss.grads(policies, values))
     base = flatten_params(net).copy()
     try:
         for k in coords:
@@ -187,7 +190,7 @@ class TestForward:
         net = make_net(3)
         obs = np.linspace(-1.0, 1.0, OBS_DIM)
         p0, v0, _, _ = forward(net, obs, zero_hidden(HIDDEN))
-        net.actor.biases += 3.7
+        net.actor_b += 3.7
         p1, v1, _, _ = forward(net, obs, zero_hidden(HIDDEN))
         assert np.max(np.abs(p1 - p0)) <= 1e-9
         assert v1 == v0
@@ -217,7 +220,7 @@ class TestForward:
 
     def test_non_finite_parameters_raise(self):
         net = make_net(0)
-        net.input_fc.weights[0, 0] = np.nan
+        net.input_w[0, 0] = np.nan
         with pytest.raises(FloatingPointError):
             forward(net, np.zeros(OBS_DIM), zero_hidden(HIDDEN))
 
@@ -229,7 +232,7 @@ class TestBackward:
         grads = backward(
             net, records, [(np.zeros(N_ACTIONS), 0.0) for _ in range(3)]
         )
-        assert np.array_equal(grads.flatten(), np.zeros(param_count(net)))
+        assert np.array_equal(grads, np.zeros(param_count(net)))
 
     def test_rejects_length_mismatch(self):
         net = make_net(1)
@@ -239,7 +242,7 @@ class TestBackward:
 
     def test_one_step_critic_only_matches_fd(self):
         net = make_net(11)
-        net.critic.weights *= 30.0
+        net.critic_w *= 30.0
         obs_seq = np.random.default_rng(11).normal(size=(1, OBS_DIM))
         loss = SequenceLoss([{"kind": "linear", "dp": np.zeros(N_ACTIONS), "dv": 1.0}])
         check_gradients(net, obs_seq, loss, range(param_count(net)))
@@ -272,7 +275,7 @@ class TestBackward:
         only_first = backward(net, records, [(dp, 0.5), (np.zeros(N_ACTIONS), 0.0)])
         _, _, one_rec = run_sequence(net, obs[:1])
         single = backward(net, one_rec, [(dp, 0.5)])
-        assert np.allclose(only_first.flatten(), single.flatten(), atol=1e-12)
+        assert np.allclose(only_first, single, atol=1e-12)
 
 
 class TestFlattening:
@@ -289,15 +292,15 @@ class TestFlattening:
             "lstm_b": 5.0, "actor_w": 6.0, "actor_b": 7.0, "critic_w": 8.0,
             "critic_b": 9.0,
         }
-        net.input_fc.weights[:] = fills["input_w"]
-        net.input_fc.biases[:] = fills["input_b"]
-        net.lstm.w_x[:] = fills["lstm_wx"]
-        net.lstm.w_h[:] = fills["lstm_wh"]
-        net.lstm.biases[:] = fills["lstm_b"]
-        net.actor.weights[:] = fills["actor_w"]
-        net.actor.biases[:] = fills["actor_b"]
-        net.critic.weights[:] = fills["critic_w"]
-        net.critic.biases[:] = fills["critic_b"]
+        net.input_w[:] = fills["input_w"]
+        net.input_b[:] = fills["input_b"]
+        net.lstm_wx[:] = fills["lstm_wx"]
+        net.lstm_wh[:] = fills["lstm_wh"]
+        net.lstm_b[:] = fills["lstm_b"]
+        net.actor_w[:] = fills["actor_w"]
+        net.actor_b[:] = fills["actor_b"]
+        net.critic_w[:] = fills["critic_w"]
+        net.critic_b[:] = fills["critic_b"]
         sizes = [40, 8, 256, 256, 32, 32, 4, 8, 1]
         expected = np.concatenate([
             np.full(n, v) for n, v in zip(sizes, fills.values())
@@ -309,14 +312,21 @@ class TestFlattening:
         dst = make_net(31)
         set_flat_params(dst, flatten_params(src))
         assert np.array_equal(flatten_params(dst), flatten_params(src))
-        assert np.array_equal(dst.lstm.w_h, src.lstm.w_h)
+        assert np.array_equal(dst.lstm_wh, src.lstm_wh)
 
-    def test_grad_bundle_layout_matches(self):
+    def test_views_share_params_buffer(self):
         net = make_net(0)
-        g = zero_grads(net)
-        g.critic_b[:] = 1.0
-        flat = g.flatten()
-        assert flat[-1] == 1.0 and np.all(flat[:-1] == 0.0)
+        obs = np.linspace(-1.0, 1.0, OBS_DIM)
+        p0, _, _, _ = forward(net, obs, zero_hidden(HIDDEN))
+        # actor_w starts at 40 + 8 + 256 + 256 + 32 = 592
+        before = flatten_params(net)
+        net.params[592] += 5.0
+        assert net.actor_w[0, 0] == before[592] + 5.0
+        p1, _, _, _ = forward(net, obs, zero_hidden(HIDDEN))
+        assert not np.array_equal(p0, p1)
+        net.actor_w[3, 7] = -2.5
+        assert net.params[592 + 3 * HIDDEN + 7] == -2.5
+        assert not np.shares_memory(flatten_params(net), net.params)
 
     def test_set_rejects_wrong_length(self):
         net = make_net(0)
@@ -344,3 +354,59 @@ class TestCheckpointIo:
         p0, v0, _, _ = forward(net, obs, zero_hidden(HIDDEN))
         p1, v1, _, _ = forward(loaded, obs, zero_hidden(HIDDEN))
         assert np.array_equal(p0, p1) and v0 == v1
+
+    def test_loads_older_checkpoint_format(self):
+        # agent_h8.npz was written by the earlier per-layer network (obs 15,
+        # hidden 8, 4 actions) together with its forward output for one
+        # observation from a zero carry.
+        path = GOLDEN / "agent_h8.npz"
+        net = load_params(path)
+        with np.load(path) as saved:
+            assert np.array_equal(flatten_params(net), saved["flat"])
+        with np.load(GOLDEN / "agent_h8_forward.npz") as ref:
+            policy, value, _, _ = forward(net, ref["obs"], zero_hidden(8))
+            assert np.max(np.abs(policy - ref["policy"])) <= 1e-12
+            assert abs(value - float(ref["value"])) <= 1e-12
+
+    @pytest.mark.parametrize("defect", ["short", "long", "no flat", "no n_actions"])
+    def test_bad_checkpoint_raises_data_error(self, defect, tmp_path):
+        net = make_net(42)
+        entries = {
+            "flat": flatten_params(net),
+            "obs_dim": OBS_DIM,
+            "hidden_dim": HIDDEN,
+            "n_actions": N_ACTIONS,
+        }
+        if defect == "short":
+            entries["flat"] = entries["flat"][:-1]
+        elif defect == "long":
+            entries["flat"] = np.append(entries["flat"], 0.0)
+        else:
+            del entries[defect.removeprefix("no ")]
+        path = tmp_path / "agent0.npz"
+        np.savez(path, **entries)
+        with pytest.raises(DataError, match="agent0.npz"):
+            load_params(path)
+
+    def test_truncated_checkpoint_raises_data_error(self, tmp_path):
+        path = tmp_path / "agent0.npz"
+        save_params(make_net(43), path)
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(DataError, match="agent0.npz"):
+            load_params(path)
+
+    def test_interrupted_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        old = make_net(44)
+        path = tmp_path / "agent0.npz"
+        save_params(old, path)
+
+        def fail_midway(file, **arrays):
+            Path(file).write_bytes(b"PK\x03\x04 half a checkpoint")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_midway)
+        with pytest.raises(OSError, match="disk full"):
+            save_params(make_net(45), path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["agent0.npz"]
+        assert np.array_equal(flatten_params(load_params(path)), flatten_params(old))
