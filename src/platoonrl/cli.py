@@ -273,15 +273,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     env = PlatoonEnv(scenario, cfg.vehicle, cfg.ovm, cfg.reward, profile.velocities)
     nets, source = _nets_for(cfg, args.checkpoint_dir, env.n_agents, cfg.seeds[0])
     print(f"replay: using {source}")
-    _, collisions, log = rollout(env, nets, cfg.train.obs_mode, scenario.seed)
-    row = episode_row(env, scenario.seed, collisions, log)
-    _write_rollout_log(log, out / "replay_log.csv")
+    ep = rollout(env, nets, cfg.train.obs_mode, scenario.seed)
+    row = episode_row(env, scenario.seed, ep.collisions, ep.log)
+    _write_rollout_log(ep.log, out / "replay_log.csv")
     stats = EvalReport(rows=[row], aggregate=row)
     stats_path = out / "replay_stats.csv"
     # Single-rollout stats: one data row plus the (identical) aggregate row.
     stats.to_csv(stats_path)
     print(
-        f"replay: window={t0:g}:{t1:g} samples={len(profile)} steps={log.shape[1]} "
+        f"replay: window={t0:g}:{t1:g} samples={len(profile)} steps={len(ep.rewards)} "
         f"ivs_mean_m={row.ivs_mean_m:.3f} power_mean_kw={row.power_mean_kw:.3f} "
         f"collisions={row.collisions} -> {out / 'replay_log.csv'}"
     )
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FitError, OSError, RuntimeError) as exc:
+    except (DataError, FitError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,8 @@ rules are provided, differing in what crosses the wire per round:
   dcea  full-precision diffusion toward neighbor weights
 
 plus a ternary-quantized gradient step with error feedback for local updates.
-All rounds read from a snapshot of the incoming weights, so agent processing
-order cannot matter.
+Each round is one product of an (n_agents, n_agents) graph matrix with the
+(n_agents, P) stack of the incoming weights, so agent order cannot matter.
 """
 
 from __future__ import annotations
@@ -94,95 +94,100 @@ def ternary_quantize(x: np.ndarray, tau: float = 0.0) -> np.ndarray:
     return np.where(x > tau, 1.0, 0.0) + np.where(x < -tau, -1.0, 0.0)
 
 
-def _check_weights(
-    weights: list[np.ndarray], graph: NeighborGraph | None
-) -> tuple[list[np.ndarray], NeighborGraph]:
+def _stack_weights(
+    weights: list[np.ndarray] | np.ndarray, graph: NeighborGraph | None
+) -> tuple[np.ndarray, NeighborGraph]:
+    """The agents' vectors as one (n_agents, P) copy, and the graph (the line
+    graph when none is given)."""
     if len(weights) < 1:
         raise ValueError("need at least one agent")
     if graph is None:
         graph = NeighborGraph.line(len(weights))
     elif graph.n != len(weights):
         raise ValueError(f"graph has {graph.n} agents, got {len(weights)} vectors")
-    shape = np.asarray(weights[0]).shape
-    out = []
-    for w in weights:
-        w = np.asarray(w, dtype=float)
-        if w.shape != shape:
-            raise ValueError("all agents must share one parameter shape")
-        out.append(w)
-    return out, graph
+    if len({np.shape(w) for w in weights}) != 1:
+        raise ValueError("all agents must share one parameter shape")
+    stacked = np.array(weights, dtype=float)
+    if stacked.ndim != 2:
+        raise ValueError("each agent's weights must be one vector")
+    return stacked, graph
+
+
+def _adjacency(graph: NeighborGraph) -> np.ndarray:
+    """(n, n) 0/1 adjacency matrix of the graph."""
+    a = np.zeros((graph.n, graph.n))
+    for i, neigh in enumerate(graph.adjacency):
+        a[i, list(neigh)] = 1.0
+    return a
+
+
+def _laplacian(graph: NeighborGraph) -> np.ndarray:
+    """Graph Laplacian D - A: row i of L @ W is sum_{j in N(i)} (w_i - w_j)."""
+    a = _adjacency(graph)
+    return np.diag(a.sum(axis=1)) - a
 
 
 def bdc_round(
-    weights: list[np.ndarray],
+    weights: list[np.ndarray] | np.ndarray,
     eps: float,
     tau: float = 0.0,
     graph: NeighborGraph | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """One synchronous round of ternary-difference diffusion:
 
-        w_i' = w_i + eps * sum_{j in N(i)} (q(w_j) - q(w_i))
+        w_i' = w_i + eps * sum_{j in N(i)} (q(w_j) - q(w_i)),  i.e.
+        W'   = W - eps * L @ q(W)
 
+    with L the graph Laplacian and W the (n_agents, P) stack; returns W'.
     Only the quantized vectors cross the wire. Any state with identical
     componentwise sign patterns across agents is a fixed point, and the
     per-component change is bounded by 2 * eps * deg(i).
     """
-    ws, graph = _check_weights(weights, graph)
-    qs = [ternary_quantize(w, tau) for w in ws]
-    out = []
-    for i, w in enumerate(ws):
-        delta = np.zeros_like(w)
-        for j in graph.adjacency[i]:
-            delta += qs[j] - qs[i]
-        out.append(w + eps * delta)
-    return out
+    w, graph = _stack_weights(weights, graph)
+    return w - eps * (_laplacian(graph) @ ternary_quantize(w, tau))
 
 
 def wac_round(
-    weights: list[np.ndarray], graph: NeighborGraph | None = None
-) -> list[np.ndarray]:
+    weights: list[np.ndarray] | np.ndarray, graph: NeighborGraph | None = None
+) -> np.ndarray:
     """One synchronous round of closed-neighborhood averaging:
 
-        w_i' = mean of {w_i} union {w_j : j in N(i)}
+        w_i' = mean of {w_i} union {w_j : j in N(i)},  i.e.  W' = M @ W
+
+    with M = (I + A) / (deg + 1) row-wise; returns the (n_agents, P) W'.
     """
-    ws, graph = _check_weights(weights, graph)
-    out = []
-    for i, w in enumerate(ws):
-        group = [w] + [ws[j] for j in graph.adjacency[i]]
-        out.append(np.mean(group, axis=0))
-    return out
+    w, graph = _stack_weights(weights, graph)
+    closed = _adjacency(graph) + np.eye(graph.n)
+    return (closed / closed.sum(axis=1, keepdims=True)) @ w
 
 
 def dcea_round(
-    weights: list[np.ndarray],
+    weights: list[np.ndarray] | np.ndarray,
     eps: float,
     graph: NeighborGraph | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """One synchronous round of full-precision diffusion:
 
-        w_i' = w_i + eps * sum_{j in N(i)} (w_j - w_i)
+        w_i' = w_i + eps * sum_{j in N(i)} (w_j - w_i),  i.e.
+        W'   = W - eps * L @ W
 
-    Antisymmetric over edges, so the across-agent mean of every component is
-    preserved exactly; spread contracts for eps <= 0.5 / max degree.
+    returning the (n_agents, P) W'. Antisymmetric over edges, so the
+    across-agent mean of every component is preserved; spread contracts for
+    eps <= 0.5 / max degree.
     """
-    ws, graph = _check_weights(weights, graph)
-    out = []
-    for i, w in enumerate(ws):
-        delta = np.zeros_like(w)
-        for j in graph.adjacency[i]:
-            delta += ws[j] - w
-        out.append(w + eps * delta)
-    return out
+    w, graph = _stack_weights(weights, graph)
+    return w - eps * (_laplacian(graph) @ w)
 
 
 def apply_consensus(
     protocol: str,
-    weights: list[np.ndarray],
+    weights: list[np.ndarray] | np.ndarray,
     eps: float,
     tau: float = 0.0,
     graph: NeighborGraph | None = None,
-) -> list[np.ndarray]:
-    """Dispatch one mixing round for the named protocol ('none' is identity)."""
+) -> np.ndarray:
+    """Dispatch one mixing round for the named protocol ('none' is identity);
+    returns the mixed (n_agents, P) stack."""
     if protocol == "bdc":
         return bdc_round(weights, eps, tau, graph)
     if protocol == "wac":
@@ -190,7 +195,7 @@ def apply_consensus(
     if protocol == "dcea":
         return dcea_round(weights, eps, graph)
     if protocol == "none":
-        return [np.asarray(w, dtype=float).copy() for w in weights]
+        return np.array(weights, dtype=float)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

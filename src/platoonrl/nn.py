@@ -157,12 +157,7 @@ def zero_hidden(hidden_dim: int) -> Hidden:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def forward(
@@ -213,53 +208,61 @@ def forward(
 def backward(
     net: AgentNet,
     records: list[ForwardRecord],
-    loss_grads: list[tuple[np.ndarray, float]],
+    d_policy: np.ndarray,
+    d_value: np.ndarray,
 ) -> np.ndarray:
     """Backpropagation through time over one episode.
 
-    records come from forward() in step order; loss_grads[t] holds
-    (dL/dpolicy_t, dL/dvalue_t). Returns the parameter gradient summed over
-    all steps, as a flat vector in net.params' layout. The softmax Jacobian
-    is applied here, so callers express losses directly in terms of the
-    policy probabilities.
+    records come from forward() in step order; row t of d_policy (T,
+    n_actions) and entry t of d_value (T,) hold dL/dpolicy_t and
+    dL/dvalue_t. Returns the parameter gradient summed over all steps, as a
+    flat vector in net.params' layout. The softmax Jacobian is applied here,
+    so callers express losses directly in terms of the policy probabilities.
+
+    Only the dh/dc recurrence runs step by step; every weight gradient is
+    one product over the whole episode.
     """
-    if len(records) != len(loss_grads):
-        raise ValueError("records and loss_grads must have equal length")
-    grad = np.zeros(net.params.size)
-    g = _views(grad, net.layout)
-    dh_next = np.zeros(net.hidden_dim)
-    dc_next = np.zeros(net.hidden_dim)
-    for rec, (d_policy, d_value) in zip(reversed(records), reversed(loss_grads)):
-        p = rec.policy
-        d_logits = p * (d_policy - p @ d_policy)
-        g["actor_w"] += np.outer(d_logits, rec.h_new)
-        g["actor_b"] += d_logits
-        g["critic_w"] += d_value * rec.h_new[None, :]
-        g["critic_b"] += d_value
-        dh = net.actor_w.T @ d_logits + d_value * net.critic_w[0] + dh_next
-        d_o = dh * rec.tanh_c
-        dc = dh * rec.gate_o * (1.0 - rec.tanh_c**2) + dc_next
-        d_i = dc * rec.gate_g
-        d_f = dc * rec.c_prev
-        d_g = dc * rec.gate_i
-        dz = np.concatenate(
-            [
-                d_i * rec.gate_i * (1.0 - rec.gate_i),
-                d_f * rec.gate_f * (1.0 - rec.gate_f),
-                d_g * (1.0 - rec.gate_g**2),
-                d_o * rec.gate_o * (1.0 - rec.gate_o),
-            ]
-        )
-        g["lstm_wx"] += np.outer(dz, rec.x)
-        g["lstm_wh"] += np.outer(dz, rec.h_prev)
-        g["lstm_b"] += dz
-        dx = net.lstm_wx.T @ dz
-        dh_next = net.lstm_wh.T @ dz
-        dc_next = dc * rec.gate_f
-        d_pre = dx * (1.0 - rec.x**2)
-        g["input_w"] += np.outer(d_pre, rec.obs)
-        g["input_b"] += d_pre
-    return grad
+    d_policy = np.asarray(d_policy, dtype=float)
+    d_value = np.asarray(d_value, dtype=float)
+    n_steps, hd = len(records), net.hidden_dim
+    if d_policy.shape != (n_steps, net.n_actions) or d_value.shape != (n_steps,):
+        raise ValueError(f"loss seeds {d_policy.shape}, {d_value.shape} for {n_steps} records")
+    r = ForwardRecord(*map(np.array, zip(*records)))
+    p = r.policy
+    d_logits = p * (d_policy - np.sum(p * d_policy, axis=1, keepdims=True))
+    dh_head = d_logits @ net.actor_w + d_value[:, None] * net.critic_w[0]
+    d_tanh_c = 1.0 - r.tanh_c**2
+    # dz's four gate blocks (input, forget, cell, output) are dc times
+    # gate_in (dh times tanh_c for the output gate), times the derivative of
+    # the gate's squashing function: s(1 - s) for sigmoids, 1 - g^2 for tanh.
+    gate_in = np.stack([r.gate_g, r.c_prev, r.gate_i], axis=1)
+    d_gate = np.stack([r.gate_i, r.gate_f, r.gate_g, r.gate_o], axis=1)
+    d_gate *= 1.0 - d_gate
+    d_gate[:, 2] = 1.0 - r.gate_g**2
+    dz = np.empty((n_steps, 4, hd))
+    dh_next = np.zeros(hd)
+    dc_next = np.zeros(hd)
+    for t in range(n_steps - 1, -1, -1):
+        dh = dh_head[t] + dh_next
+        dc = dh * r.gate_o[t] * d_tanh_c[t] + dc_next
+        dz[t, :3] = (dc * gate_in[t]) * d_gate[t, :3]
+        dz[t, 3] = (dh * r.tanh_c[t]) * d_gate[t, 3]
+        dh_next = net.lstm_wh.T @ dz[t].ravel()
+        dc_next = dc * r.gate_f[t]
+    dz = dz.reshape(n_steps, 4 * hd)
+    d_pre = (dz @ net.lstm_wx) * (1.0 - r.x**2)
+    grads = {
+        "input_w": d_pre.T @ r.obs,
+        "input_b": d_pre.sum(axis=0),
+        "lstm_wx": dz.T @ r.x,
+        "lstm_wh": dz.T @ r.h_prev,
+        "lstm_b": dz.sum(axis=0),
+        "actor_w": d_logits.T @ r.h_new,
+        "actor_b": d_logits.sum(axis=0),
+        "critic_w": d_value @ r.h_new,
+        "critic_b": d_value.sum(),
+    }
+    return np.concatenate([np.ravel(grads[name]) for name, _ in net.layout])
 
 
 def flatten_params(net: AgentNet) -> np.ndarray:

@@ -80,18 +80,18 @@ class TrainConfig:
 
 
 @dataclass
-class Trajectory:
-    """One agent's episode: per-step actions, rewards and value estimates,
-    and, when the episode is for learning, the forward records (observation
-    and policy included) needed for backpropagation."""
+class Episode:
+    """One rollout: (steps, n_agents) actions, values and rewards (a view of
+    the log's agent columns); each agent's forward records (none for greedy
+    play); the colliding-agent count; and the vehicle log, shaped
+    (len(LOG_FIELDS), steps, n_vehicles), of env.vehicle_values() per step."""
 
-    actions: list[int] = field(default_factory=list)
-    rewards: list[float] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-    records: list[nn.ForwardRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.rewards)
+    actions: np.ndarray
+    values: np.ndarray
+    rewards: np.ndarray
+    records: list[list[nn.ForwardRecord]]
+    collisions: int
+    log: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -125,29 +125,6 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _actor_loss_grads(
-    traj: Trajectory, advantages: np.ndarray, entropy_coeff: float
-) -> list[tuple[np.ndarray, float]]:
-    """d/dpolicy of  -sum_t A_t log pi(a_t) - entropy_coeff * sum_t H(pi_t)."""
-    grads = []
-    for t, record in enumerate(traj.records):
-        policy = record.policy
-        dp = entropy_coeff * (np.log(policy) + 1.0)
-        dp[traj.actions[t]] -= advantages[t] / policy[traj.actions[t]]
-        grads.append((dp, 0.0))
-    return grads
-
-
-def _critic_loss_grads(
-    traj: Trajectory, returns: np.ndarray
-) -> list[tuple[np.ndarray, float]]:
-    """d/dvalue of  sum_t (G_t - V_t)^2."""
-    zeros = np.zeros(N_ACTIONS)
-    return [
-        (zeros, -2.0 * (returns[t] - traj.values[t])) for t in range(len(traj))
-    ]
-
-
 def _clipped(grad: np.ndarray, clip: float) -> np.ndarray:
     norm = float(np.linalg.norm(grad))
     if norm > clip:
@@ -161,63 +138,75 @@ def rollout(
     obs_mode: str,
     episode_seed: int | None,
     rng: np.random.Generator | None = None,
-) -> tuple[list[Trajectory], int, np.ndarray]:
+) -> Episode:
     """Run one episode. With rng, actions are sampled from the policies and
-    the trajectories keep the forward records for learning; without, play is
-    greedy (argmax, lowest index wins ties) and keeps none.
-
-    Returns (trajectories, colliding-agent count, vehicle log), where the log
-    holds env.vehicle_values() after every step: shape
-    (len(LOG_FIELDS), steps, n_vehicles).
-    """
+    the episode keeps the forward records for learning; without, play is
+    greedy (argmax, lowest index wins ties) and keeps none."""
     obs = env.reset(seed=episode_seed)
     obs_dim = obs_dim_for(obs_mode)
+    n_steps, n_agents = env.cfg.episode_steps, len(nets)
     hiddens = [nn.zero_hidden(net.hidden_dim) for net in nets]
-    trajs = [Trajectory() for _ in nets]
-    log = np.empty((len(LOG_FIELDS), env.cfg.episode_steps, env.n_vehicles))
-    for t in range(env.cfg.episode_steps):
-        actions = []
-        policies = []
-        for i, (net, traj) in enumerate(zip(nets, trajs)):
-            policy, value, hiddens[i], record = nn.forward(net, obs[i, :obs_dim], hiddens[i])
+    records: list[list[nn.ForwardRecord]] = [[] for _ in nets]
+    actions = np.empty((n_steps, n_agents), dtype=np.intp)
+    values = np.empty((n_steps, n_agents))
+    log = np.empty((len(LOG_FIELDS), n_steps, env.n_vehicles))
+    policies = [None] * n_agents
+    for t in range(n_steps):
+        for i, net in enumerate(nets):
+            policy, values[t, i], hiddens[i], record = nn.forward(
+                net, obs[i, :obs_dim], hiddens[i]
+            )
             if rng is None:
-                action = int(np.argmax(policy))
+                actions[t, i] = np.argmax(policy)
             else:
-                action = int(rng.choice(N_ACTIONS, p=policy))
-                traj.records.append(record)
-            traj.actions.append(action)
-            traj.values.append(value)
-            actions.append(action)
-            policies.append(policy)
+                actions[t, i] = rng.choice(N_ACTIONS, p=policy)
+                records[i].append(record)
+            policies[i] = policy
         fingerprints = np.array(policies) if obs_mode == "fprint" else None
-        outcome = env.step(actions, fingerprints)
+        outcome = env.step(actions[t], fingerprints)
         log[:, t] = env.vehicle_values()
-        for traj, r in zip(trajs, outcome.rewards.tolist()):
-            traj.rewards.append(r)
         if outcome.done:
             break
         obs = outcome.observations
     collisions = int(np.sum(outcome.info["spacing_m"] <= MIN_SPACING)) if outcome.collision else 0
-    return trajs, collisions, log[:, : t + 1]
+    log = log[:, : t + 1]
+    return Episode(
+        actions=actions[: t + 1],
+        values=values[: t + 1],
+        rewards=log[LOG_FIELDS.index("reward"), :, env.n_vehicles - n_agents :],
+        records=records,
+        collisions=collisions,
+        log=log,
+    )
 
 
 def _update_agent(
     cfg: TrainConfig,
     net: nn.AgentNet,
-    traj: Trajectory,
+    ep: Episode,
+    agent: int,
     residuals: tuple[np.ndarray, np.ndarray] | None,
     episode: int,
-    agent: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """One A2C update from one episode. Actor and critic gradients share the
-    trunk but carry separate learning rates, so each gets its own backward
-    pass and its own global-norm clip."""
-    returns = discounted_returns(np.array(traj.rewards), cfg.gamma)
-    advantages = returns - np.array(traj.values)
+    """One A2C update of agent `agent` from one episode. Actor and critic
+    gradients share the trunk but carry separate learning rates, so each
+    gets its own backward pass and its own global-norm clip.
+
+    The loss seeds: the actor loss  -sum_t A_t log pi(a_t) - entropy_coeff *
+    sum_t H(pi_t)  gives dL/dpolicy, the critic loss  sum_t (G_t - V_t)^2
+    gives dL/dvalue."""
+    records = ep.records[agent]
+    values = ep.values[:, agent]
+    returns = discounted_returns(ep.rewards[:, agent], cfg.gamma)
+    advantages = returns - values
     if cfg.normalize_advantages:
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    g_actor = nn.backward(net, traj.records, _actor_loss_grads(traj, advantages, cfg.entropy_coeff))
-    g_critic = nn.backward(net, traj.records, _critic_loss_grads(traj, returns))
+    policy = np.array([r.policy for r in records])
+    taken = np.arange(len(records)), ep.actions[:, agent]
+    d_policy = cfg.entropy_coeff * (np.log(policy) + 1.0)
+    d_policy[taken] -= advantages / policy[taken]
+    g_actor = nn.backward(net, records, d_policy, np.zeros(len(records)))
+    g_critic = nn.backward(net, records, np.zeros_like(policy), -2.0 * (returns - values))
     g_actor = _clipped(g_actor, cfg.grad_clip)
     g_critic = _clipped(g_critic, cfg.grad_clip)
     if not (np.all(np.isfinite(g_actor)) and np.all(np.isfinite(g_critic))):
@@ -234,6 +223,48 @@ def _update_agent(
     net.params -= cfg.actor_lr * g_actor
     net.params -= cfg.critic_lr * g_critic
     return residuals
+
+
+def _train_episode(
+    cfg: TrainConfig,
+    env: PlatoonEnv,
+    nets: list[nn.AgentNet],
+    residuals: list[tuple[np.ndarray, np.ndarray] | None],
+    rng: np.random.Generator,
+    episode: int,
+    steps_done: int,
+    comm_bits: int,
+) -> LogRow:
+    """One training episode: a sampled rollout, every agent's update, then a
+    consensus round when one is due. The episode's arrays and forward
+    records are released on return, before the next rollout allocates its
+    own."""
+    ep_seed = int(rng.integers(0, 2**63 - 1))
+    ep = rollout(env, nets, cfg.obs_mode, ep_seed, rng)
+    for i, net in enumerate(nets):
+        residuals[i] = _update_agent(cfg, net, ep, i, residuals[i], episode)
+    if cfg.consensus.protocol != "none" and episode % cfg.consensus.period == 0:
+        mixed = apply_consensus(
+            cfg.consensus.protocol,
+            [net.params for net in nets],
+            cfg.consensus.eps,
+            cfg.consensus.tau,
+        )
+        for net, w in zip(nets, mixed):
+            net.params[...] = w
+        comm_bits += comm_bits_per_round(
+            cfg.consensus.protocol, nn.param_count(nets[0]), env.n_agents
+        )
+    # Python's sum adds in step order (np.sum adds pairwise); the log's
+    # bytes depend on that order.
+    agent_totals = [sum(r) for r in ep.rewards.T.tolist()]
+    return LogRow(
+        episode=episode,
+        steps=steps_done + len(ep.rewards),
+        mean_reward=float(np.mean(agent_totals)),
+        collisions=ep.collisions,
+        comm_bits_cum=comm_bits,
+    )
 
 
 def train(
@@ -263,46 +294,17 @@ def train(
         for _ in range(env.n_agents)
     ]
     n_params = nn.param_count(nets[0])
-    residuals: list[tuple[np.ndarray, np.ndarray] | None]
-    if cfg.compress_gradients:
-        residuals = [(np.zeros(n_params), np.zeros(n_params)) for _ in nets]
-    else:
-        residuals = [None for _ in nets]
+    residuals: list[tuple[np.ndarray, np.ndarray] | None] = [
+        (np.zeros(n_params), np.zeros(n_params)) if cfg.compress_gradients else None
+        for _ in nets
+    ]
     log: list[LogRow] = []
-    comm_bits = 0
-    steps_done = 0
-    episode = 0
+    steps_done = comm_bits = episode = 0
     while steps_done < cfg.total_steps:
         episode += 1
-        ep_seed = int(rng.integers(0, 2**63 - 1))
-        trajs, collisions, _ = rollout(env, nets, cfg.obs_mode, ep_seed, rng)
-        steps_done += len(trajs[0])
-        for i, net in enumerate(nets):
-            residuals[i] = _update_agent(
-                cfg, net, trajs[i], residuals[i], episode, i
-            )
-        if cfg.consensus.protocol != "none" and episode % cfg.consensus.period == 0:
-            mixed = apply_consensus(
-                cfg.consensus.protocol,
-                [net.params for net in nets],
-                cfg.consensus.eps,
-                cfg.consensus.tau,
-            )
-            for net, w in zip(nets, mixed):
-                net.params[...] = w
-            comm_bits += comm_bits_per_round(
-                cfg.consensus.protocol, n_params, env.n_agents
-            )
-        mean_reward = float(np.mean([sum(t.rewards) for t in trajs]))
-        log.append(
-            LogRow(
-                episode=episode,
-                steps=steps_done,
-                mean_reward=mean_reward,
-                collisions=collisions,
-                comm_bits_cum=comm_bits,
-            )
-        )
+        row = _train_episode(cfg, env, nets, residuals, rng, episode, steps_done, comm_bits)
+        log.append(row)
+        steps_done, comm_bits = row.steps, row.comm_bits_cum
         if (
             checkpoint_dir is not None
             and cfg.checkpoint_every > 0
@@ -458,8 +460,8 @@ def evaluate(
         raise ConfigError(f"expected {env.n_agents} nets, got {len(nets)}")
     rows = []
     for seed in range(scenario.seed, scenario.seed + n_seeds):
-        _, collisions, log = rollout(env, nets, obs_mode, seed)
-        rows.append(episode_row(env, seed, collisions, log))
+        ep = rollout(env, nets, obs_mode, seed)
+        rows.append(episode_row(env, seed, ep.collisions, ep.log))
     def col(name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in rows])
     aggregate = EvalRow(
@@ -529,16 +531,13 @@ def consensus_bench(
     out = []
     for protocol in protocols:
         rng = np.random.default_rng(seed)
-        weights = [rng.standard_normal(n_params) for _ in range(n_agents)]
+        weights = rng.standard_normal((n_agents, n_params))
         bits = 0
-        stacked = np.array(weights)
-        out.append((0, protocol, float((stacked.max(0) - stacked.min(0)).max()), bits))
+        out.append((0, protocol, float(np.ptp(weights, axis=0).max()), bits))
         for r in range(1, rounds + 1):
             weights = apply_consensus(protocol, weights, eps, tau)
             bits += comm_bits_per_round(protocol, n_params, n_agents)
-            stacked = np.array(weights)
-            spread = float((stacked.max(0) - stacked.min(0)).max())
-            out.append((r, protocol, spread, bits))
+            out.append((r, protocol, float(np.ptp(weights, axis=0).max()), bits))
     return out
 
 

@@ -1,0 +1,43 @@
+"""Per-agent loop reference for the consensus rounds.
+
+Each agent's new vector is built by walking its neighbor list, the way the
+package computed a round before it became one graph-matrix product.
+Property tests hold the products to these loops.
+"""
+
+import numpy as np
+
+from platoonrl.consensus import NeighborGraph, ternary_quantize
+
+
+def bdc_round(
+    ws: list[np.ndarray], eps: float, tau: float, graph: NeighborGraph
+) -> list[np.ndarray]:
+    qs = [ternary_quantize(w, tau) for w in ws]
+    out = []
+    for i, w in enumerate(ws):
+        delta = np.zeros_like(w)
+        for j in graph.adjacency[i]:
+            delta += qs[j] - qs[i]
+        out.append(w + eps * delta)
+    return out
+
+
+def wac_round(ws: list[np.ndarray], graph: NeighborGraph) -> list[np.ndarray]:
+    out = []
+    for i, w in enumerate(ws):
+        group = [w] + [ws[j] for j in graph.adjacency[i]]
+        out.append(np.mean(group, axis=0))
+    return out
+
+
+def dcea_round(
+    ws: list[np.ndarray], eps: float, graph: NeighborGraph
+) -> list[np.ndarray]:
+    out = []
+    for i, w in enumerate(ws):
+        delta = np.zeros_like(w)
+        for j in graph.adjacency[i]:
+            delta += ws[j] - w
+        out.append(w + eps * delta)
+    return out

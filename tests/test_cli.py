@@ -163,6 +163,20 @@ class TestEvalCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "agent1.npz" in err
 
+    def test_non_finite_checkpoint_is_runtime_error(self, tiny_config, tmp_path, capsys):
+        # load_params keeps non-finite values; the first forward pass rejects them
+        assert run_cli("train", "--config", str(tiny_config)) == 0
+        path = tmp_path / "runs" / "checkpoints" / "seed0" / "agent1.npz"
+        with np.load(path) as data:
+            entries = dict(data)
+        entries["flat"][0] = np.nan
+        np.savez(path, **entries)
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(tiny_config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+
     def test_agent_count_mismatch_is_config_error(self, tiny_config, capsys):
         assert run_cli("train", "--config", str(tiny_config), "--n-vehicles", "3") == 0
         capsys.readouterr()
