@@ -159,6 +159,11 @@ def _nets_for(
                     f"{checkpoint_dir}/agent{i}.npz takes {net.obs_dim} observation values, "
                     f"but obs_mode {cfg.train.obs_mode!r} gives {obs_dim}"
                 )
+            if (net.hidden_dim, net.n_actions) != (nets[0].hidden_dim, nets[0].n_actions):
+                raise DataError(
+                    f"{checkpoint_dir}/agent{i}.npz has hidden_dim {net.hidden_dim} and "
+                    f"{net.n_actions} actions, agent0.npz {nets[0].hidden_dim} and {nets[0].n_actions}"
+                )
         return nets, f"checkpoints from {checkpoint_dir}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nets = [nn.init_agent_net(obs_dim, nn.HIDDEN_DIM, N_ACTIONS, rng) for _ in range(n_agents)]
@@ -273,7 +278,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     env = PlatoonEnv(scenario, cfg.vehicle, cfg.ovm, cfg.reward, profile.velocities)
     nets, source = _nets_for(cfg, args.checkpoint_dir, env.n_agents, cfg.seeds[0])
     print(f"replay: using {source}")
-    ep = rollout(env, nets, cfg.train.obs_mode, scenario.seed)
+    ep = rollout(env, nn.stack_nets(nets), cfg.train.obs_mode, scenario.seed)
     row = episode_row(env, scenario.seed, ep.collisions, ep.log)
     _write_rollout_log(ep.log, out / "replay_log.csv")
     stats = EvalReport(rows=[row], aggregate=row)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 PROTOCOLS = ("bdc", "wac", "dcea", "none")
 
 # Payload bits per parameter sent over one directed edge in one round.
@@ -78,13 +80,13 @@ class ConsensusConfig:
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+            raise ConfigError(f"unknown protocol {self.protocol!r}")
         if not 0.0 < self.eps <= 0.5:
-            raise ValueError("ConsensusConfig.eps must be in (0, 0.5]")
+            raise ConfigError("ConsensusConfig.eps must be in (0, 0.5]")
         if self.tau < 0.0:
-            raise ValueError("ConsensusConfig.tau must be non-negative")
+            raise ConfigError("ConsensusConfig.tau must be non-negative")
         if self.period < 1:
-            raise ValueError("ConsensusConfig.period must be >= 1")
+            raise ConfigError("ConsensusConfig.period must be >= 1")
 
 
 def ternary_quantize(x: np.ndarray, tau: float = 0.0) -> np.ndarray:

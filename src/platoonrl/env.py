@@ -166,15 +166,14 @@ def compute_reward(
 class StepOutcome:
     """Result of one synchronous platoon step. observations is the
     (n_agents, obs_dim_for("fprint")) array of the next observations; the
-    ia2c observation is its first obs_dim_for("ia2c") columns. info arrays
-    are per-agent; done is set on collision or when the step budget is
-    exhausted."""
+    ia2c observation is its first obs_dim_for("ia2c") columns. done is set
+    on collision or when the step budget is exhausted; vehicle_values()
+    holds the step's per-vehicle values."""
 
     observations: np.ndarray
     rewards: np.ndarray
     done: bool
     collision: bool
-    info: dict[str, np.ndarray]
 
 
 @dataclass
@@ -404,16 +403,9 @@ class PlatoonEnv:
         collision = bool(crashed.any())
         done = collision or self._step_idx >= cfg.episode_steps
         self._done = done
-        info = {
-            "power_kw": power.copy(),
-            "spacing_m": d.copy(),
-            "velocity_mps": v.copy(),
-            "accel_mps2": u.copy(),
-        }
         return StepOutcome(
             observations=self._observations(),
             rewards=rewards,
             done=done,
             collision=collision,
-            info=info,
         )

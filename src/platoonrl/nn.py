@@ -8,13 +8,20 @@ Everything is float64 numpy. The recurrent state is an explicit (h, c) pair
 carried by the caller; forward() mutates nothing, so identical inputs always
 produce identical outputs.
 
-Parameter buffer: each AgentNet owns one flat vector, `params`, and its
+Parameter buffer: an AgentNet owns one float64 array, `params`, and its
 named weight arrays are views into it, so writing either one changes both.
 param_layout() gives the (name, shape) of each array in vector order, with
 every array stored row-major and the LSTM gate blocks ordered input, forget,
 cell, output along the 4*hidden axis. That order is the contract the
 consensus protocols, the gradient step and the checkpoints share; backward()
 returns its gradient in the same layout.
+
+Agent axis: `params` is one agent's (P,) vector or an (n_agents, P) stack
+with one row per agent, and then every named view, every forward() input
+and output and every backward() seed carries the agent axis in front (after
+the step axis of an episode). Each agent's products are separate BLAS calls
+through np.matmul, the same calls the single-agent form makes, so stacking
+agents does not change any agent's numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 import os
 import zipfile
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,20 +61,23 @@ def param_layout(
 def _views(
     flat: np.ndarray, layout: tuple[tuple[str, tuple[int, ...]], ...]
 ) -> dict[str, np.ndarray]:
-    """Named views into `flat`, shaped by `layout`."""
+    """Named views into the last axis of `flat`, shaped by `layout` behind
+    flat's leading (agent) axes."""
     out = {}
     offset = 0
     for name, shape in layout:
         n = math.prod(shape)
-        out[name] = flat[offset : offset + n].reshape(shape)
+        out[name] = flat[..., offset : offset + n].reshape(flat.shape[:-1] + shape)
         offset += n
     return out
 
 
 class AgentNet:
-    """One agent's parameters: the flat float64 vector `params` plus a view
-    into it per param_layout() entry (net.input_w, net.lstm_wx, ...). Write
-    `params` in place; rebinding it would detach the views."""
+    """Parameters of one agent, a (P,) vector, or of n agents, an (n, P)
+    stack: `params` plus a view into it per param_layout() entry
+    (net.input_w, net.lstm_wx, ...). A C-contiguous float64 `params`
+    argument is used in place, not copied. Write `params` in place; rebinding it would detach
+    the views."""
 
     def __init__(
         self,
@@ -83,8 +93,10 @@ class AgentNet:
         self.n_actions = n_actions
         self.layout = param_layout(obs_dim, hidden_dim, n_actions)
         size = sum(math.prod(shape) for _, shape in self.layout)
-        self.params = np.zeros(size) if params is None else np.array(params, dtype=float)
-        if self.params.shape != (size,):
+        if params is None:
+            params = np.zeros(size)
+        self.params = np.ascontiguousarray(params, dtype=float)
+        if self.params.ndim not in (1, 2) or self.params.shape[-1] != size:
             raise ValueError(
                 f"dims ({obs_dim}, {hidden_dim}, {n_actions}) take {size} parameters, "
                 f"got shape {self.params.shape}"
@@ -92,15 +104,26 @@ class AgentNet:
         self.__dict__.update(_views(self.params, self.layout))
 
 
+def stack_nets(nets: Sequence[AgentNet]) -> AgentNet:
+    """One agent-batched net over a copy of the nets' vectors, stacked in
+    list order."""
+    dims = {(net.obs_dim, net.hidden_dim, net.n_actions) for net in nets}
+    if len(dims) != 1:
+        raise ValueError(f"cannot stack networks of dimensions {sorted(dims)}")
+    return AgentNet(*dims.pop(), params=np.stack([net.params for net in nets]))
+
+
 class Hidden(NamedTuple):
-    """LSTM carry: hidden output h and cell state c, each (hidden_dim,)."""
+    """LSTM carry: hidden output h and cell state c, each (hidden_dim,) per
+    agent."""
 
     h: np.ndarray
     c: np.ndarray
 
 
 class ForwardRecord(NamedTuple):
-    """Per-step activations retained for backpropagation through time."""
+    """Activations retained for backpropagation through time: one step's
+    from forward(), or a whole episode's with the steps stacked on axis 0."""
 
     obs: np.ndarray
     x: np.ndarray
@@ -160,34 +183,43 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _mv(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """w @ v per agent: (..., m, k) matrices times (..., k) vectors, one BLAS
+    matrix-vector product per agent."""
+    return np.matmul(w, v[..., None])[..., 0]
+
+
 def forward(
     net: AgentNet, obs: np.ndarray, hidden: Hidden
-) -> tuple[np.ndarray, float, Hidden, ForwardRecord]:
-    """One step: returns (policy, value, new_hidden, record).
+) -> tuple[np.ndarray, float | np.ndarray, Hidden, ForwardRecord]:
+    """One step of every agent of `net`: returns (policy, value, new_hidden,
+    record), each with the net's agent axis in front.
 
     policy is a proper distribution over actions (softmax with max-logit
     subtraction, so it is invariant to shifting all logits); value is the
-    critic scalar; record holds what backward() needs.
+    critic output, a float for a single-agent net; record holds what
+    backward() needs.
     """
     obs = np.asarray(obs, dtype=float)
-    if obs.shape != (net.obs_dim,):
-        raise ValueError(f"expected obs shape ({net.obs_dim},), got {obs.shape}")
+    shape = net.params.shape[:-1] + (net.obs_dim,)
+    if obs.shape != shape:
+        raise ValueError(f"expected obs shape {shape}, got {obs.shape}")
     hd = net.hidden_dim
-    x = np.tanh(net.input_w @ obs + net.input_b)
-    z = net.lstm_wx @ x + net.lstm_wh @ hidden.h + net.lstm_b
-    gate_i = _sigmoid(z[:hd])
-    gate_f = _sigmoid(z[hd : 2 * hd])
-    gate_g = np.tanh(z[2 * hd : 3 * hd])
-    gate_o = _sigmoid(z[3 * hd :])
+    x = np.tanh(_mv(net.input_w, obs) + net.input_b)
+    z = _mv(net.lstm_wx, x) + _mv(net.lstm_wh, hidden.h) + net.lstm_b
+    gate_i = _sigmoid(z[..., :hd])
+    gate_f = _sigmoid(z[..., hd : 2 * hd])
+    gate_g = np.tanh(z[..., 2 * hd : 3 * hd])
+    gate_o = _sigmoid(z[..., 3 * hd :])
     c_new = gate_f * hidden.c + gate_i * gate_g
     tanh_c = np.tanh(c_new)
     h_new = gate_o * tanh_c
-    logits = net.actor_w @ h_new + net.actor_b
-    logits = logits - logits.max()
+    logits = _mv(net.actor_w, h_new) + net.actor_b
+    logits = logits - logits.max(axis=-1, keepdims=True)
     exp_l = np.exp(logits)
-    policy = exp_l / exp_l.sum()
-    value = float((net.critic_w @ h_new + net.critic_b)[0])
-    if not (np.all(np.isfinite(policy)) and np.isfinite(value)):
+    policy = exp_l / exp_l.sum(axis=-1, keepdims=True)
+    value = (_mv(net.critic_w, h_new) + net.critic_b)[..., 0]
+    if not (np.all(np.isfinite(policy)) and np.all(np.isfinite(value))):
         raise FloatingPointError("non-finite network output")
     record = ForwardRecord(
         obs=obs,
@@ -202,67 +234,100 @@ def forward(
         h_new=h_new,
         policy=policy,
     )
-    return policy, value, Hidden(h=h_new, c=c_new), record
+    return policy, value[()], Hidden(h=h_new, c=c_new), record
 
 
 def backward(
     net: AgentNet,
-    records: list[ForwardRecord],
+    records: list[ForwardRecord] | ForwardRecord,
     d_policy: np.ndarray,
     d_value: np.ndarray,
 ) -> np.ndarray:
-    """Backpropagation through time over one episode.
+    """Backpropagation through time over one episode of every agent of `net`.
 
-    records come from forward() in step order; row t of d_policy (T,
-    n_actions) and entry t of d_value (T,) hold dL/dpolicy_t and
-    dL/dvalue_t. Returns the parameter gradient summed over all steps, as a
-    flat vector in net.params' layout. The softmax Jacobian is applied here,
-    so callers express losses directly in terms of the policy probabilities.
+    records are forward()'s records in step order, or one ForwardRecord of
+    the episode with the steps stacked on axis 0. d_policy (T, [n_agents,]
+    n_actions) and d_value (T, [n_agents]) hold dL/dpolicy_t and
+    dL/dvalue_t. Returns each agent's parameter gradient summed over all
+    steps, shaped like net.params. The softmax Jacobian is applied here, so
+    callers express losses directly in terms of the policy probabilities.
 
-    Only the dh/dc recurrence runs step by step; every weight gradient is
-    one product over the whole episode.
+    Only the dh/dc recurrence runs step by step, for all agents at once;
+    every weight gradient is one product per agent over the whole episode.
     """
     d_policy = np.asarray(d_policy, dtype=float)
     d_value = np.asarray(d_value, dtype=float)
-    n_steps, hd = len(records), net.hidden_dim
-    if d_policy.shape != (n_steps, net.n_actions) or d_value.shape != (n_steps,):
-        raise ValueError(f"loss seeds {d_policy.shape}, {d_value.shape} for {n_steps} records")
-    r = ForwardRecord(*map(np.array, zip(*records)))
+    if not isinstance(records, ForwardRecord):
+        records = ForwardRecord(*map(np.array, zip(*records)))
+    lead = net.params.shape[:-1]
+    n_steps, hd = len(records.policy), net.hidden_dim
+    if d_policy.shape != (n_steps, *lead, net.n_actions) or d_value.shape != (n_steps, *lead):
+        raise ValueError(f"loss seeds {d_policy.shape}, {d_value.shape} for {n_steps} steps")
+    if not lead:  # one agent: run it as a stack of one
+        grad = backward(
+            AgentNet(net.obs_dim, hd, net.n_actions, params=net.params[None]),
+            ForwardRecord(*(a[:, None] for a in records)),
+            d_policy[:, None],
+            d_value[:, None],
+        )
+        return grad[0]
+    r = records
+    n_agents = lead[0]
     p = r.policy
-    d_logits = p * (d_policy - np.sum(p * d_policy, axis=1, keepdims=True))
-    dh_head = d_logits @ net.actor_w + d_value[:, None] * net.critic_w[0]
+    d_logits = p * (d_policy - np.sum(p * d_policy, axis=-1, keepdims=True))
+
+    def by_agent(a: np.ndarray) -> np.ndarray:
+        """(T, n_agents, k) as (n_agents, T, k): each agent's episode matrix."""
+        return a.swapaxes(0, 1)
+
+    dh_head = by_agent(np.matmul(by_agent(d_logits), net.actor_w))
+    dh_head = dh_head + d_value[..., None] * net.critic_w[:, 0]
     d_tanh_c = 1.0 - r.tanh_c**2
     # dz's four gate blocks (input, forget, cell, output) are dc times
-    # gate_in (dh times tanh_c for the output gate), times the derivative of
-    # the gate's squashing function: s(1 - s) for sigmoids, 1 - g^2 for tanh.
-    gate_in = np.stack([r.gate_g, r.c_prev, r.gate_i], axis=1)
-    d_gate = np.stack([r.gate_i, r.gate_f, r.gate_g, r.gate_o], axis=1)
-    d_gate *= 1.0 - d_gate
-    d_gate[:, 2] = 1.0 - r.gate_g**2
-    dz = np.empty((n_steps, 4, hd))
-    dh_next = np.zeros(hd)
-    dc_next = np.zeros(hd)
+    # gate_g, c_prev and gate_i (dh times tanh_c for the output gate), times
+    # the derivative of the gate's squashing function: s(1 - s) for
+    # sigmoids, 1 - g^2 for tanh. dz starts as those derivatives and the
+    # loop scales each step's rows in place, which keeps the peak memory of
+    # an all-agent episode down.
+    dz = np.empty((n_steps, n_agents, 4, hd))
+    for k, s in ((0, r.gate_i), (1, r.gate_f), (3, r.gate_o)):
+        np.multiply(s, 1.0 - s, out=dz[:, :, k])
+    np.subtract(1.0, r.gate_g**2, out=dz[:, :, 2])
+    dh_next = np.zeros((n_agents, hd))
+    dc_next = np.zeros((n_agents, hd))
+    wh_t = net.lstm_wh.swapaxes(1, 2)
     for t in range(n_steps - 1, -1, -1):
         dh = dh_head[t] + dh_next
         dc = dh * r.gate_o[t] * d_tanh_c[t] + dc_next
-        dz[t, :3] = (dc * gate_in[t]) * d_gate[t, :3]
-        dz[t, 3] = (dh * r.tanh_c[t]) * d_gate[t, 3]
-        dh_next = net.lstm_wh.T @ dz[t].ravel()
+        dz[t, :, 0] *= dc * r.gate_g[t]
+        dz[t, :, 1] *= dc * r.c_prev[t]
+        dz[t, :, 2] *= dc * r.gate_i[t]
+        dz[t, :, 3] *= dh * r.tanh_c[t]
+        dh_next = _mv(wh_t, dz[t].reshape(n_agents, 4 * hd))
         dc_next = dc * r.gate_f[t]
-    dz = dz.reshape(n_steps, 4 * hd)
-    d_pre = (dz @ net.lstm_wx) * (1.0 - r.x**2)
+    del dh_head, d_tanh_c  # not needed for the weight products
+    dz = dz.reshape(n_steps, n_agents, 4 * hd)
+    d_pre = np.matmul(by_agent(dz), net.lstm_wx)
+    d_pre *= 1.0 - by_agent(r.x) ** 2
+    dz_t, d_logits_t = (by_agent(a).swapaxes(1, 2) for a in (dz, d_logits))
+    # Each agent's critic seeds in one contiguous row, as a single agent's
+    # are: their sum is then pairwise and their product with h_new takes the
+    # same BLAS path, so neither moves an agent's numbers.
+    d_value = np.ascontiguousarray(d_value.T)
     grads = {
-        "input_w": d_pre.T @ r.obs,
-        "input_b": d_pre.sum(axis=0),
-        "lstm_wx": dz.T @ r.x,
-        "lstm_wh": dz.T @ r.h_prev,
+        "input_w": np.matmul(d_pre.swapaxes(1, 2), by_agent(r.obs)),
+        "input_b": d_pre.sum(axis=1),
+        "lstm_wx": np.matmul(dz_t, by_agent(r.x)),
+        "lstm_wh": np.matmul(dz_t, by_agent(r.h_prev)),
         "lstm_b": dz.sum(axis=0),
-        "actor_w": d_logits.T @ r.h_new,
+        "actor_w": np.matmul(d_logits_t, by_agent(r.h_new)),
         "actor_b": d_logits.sum(axis=0),
-        "critic_w": d_value @ r.h_new,
-        "critic_b": d_value.sum(),
+        "critic_w": np.matmul(d_value[:, None], by_agent(r.h_new)),
+        "critic_b": d_value.sum(axis=1),
     }
-    return np.concatenate([np.ravel(grads[name]) for name, _ in net.layout])
+    return np.concatenate(
+        [grads[name].reshape(n_agents, -1) for name, _ in net.layout], axis=1
+    )
 
 
 def flatten_params(net: AgentNet) -> np.ndarray:
@@ -271,7 +336,8 @@ def flatten_params(net: AgentNet) -> np.ndarray:
 
 
 def param_count(net: AgentNet) -> int:
-    return net.params.size
+    """Parameters per agent."""
+    return net.params.shape[-1]
 
 
 def set_flat_params(net: AgentNet, flat: np.ndarray) -> None:
@@ -315,6 +381,8 @@ def load_params(path: str | Path) -> AgentNet:
     if missing:
         raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
     dims = [int(entries[k]) for k in ("obs_dim", "hidden_dim", "n_actions")]
+    if entries["flat"].ndim != 1:
+        raise DataError(f"{path}: parameter vector has shape {entries['flat'].shape}")
     try:
         return AgentNet(*dims, params=entries["flat"])
     except ValueError as exc:

@@ -36,6 +36,10 @@ from .ovm import OvmParams
 from .vehicle import MIN_SPACING, VehicleParams
 
 
+# How far a policy's sum may be from 1, as rng.choice allows.
+_SUM_TOL = np.sqrt(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters.
@@ -82,14 +86,15 @@ class TrainConfig:
 @dataclass
 class Episode:
     """One rollout: (steps, n_agents) actions, values and rewards (a view of
-    the log's agent columns); each agent's forward records (none for greedy
-    play); the colliding-agent count; and the vehicle log, shaped
-    (len(LOG_FIELDS), steps, n_vehicles), of env.vehicle_values() per step."""
+    the log's agent columns); the forward activations, a ForwardRecord of
+    (steps, n_agents, ...) arrays (None for greedy play); the
+    colliding-agent count; and the vehicle log, shaped (len(LOG_FIELDS),
+    steps, n_vehicles), of env.vehicle_values() per step."""
 
     actions: np.ndarray
     values: np.ndarray
     rewards: np.ndarray
-    records: list[list[nn.ForwardRecord]]
+    tape: nn.ForwardRecord | None
     collisions: int
     log: np.ndarray
 
@@ -115,121 +120,139 @@ class TrainResult:
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """G_t = r_t + gamma * G_{t+1}, bootstrapping 0 past the end."""
+    """G_t = r_t + gamma * G_{t+1} along axis 0 (steps), bootstrapping 0
+    past the end; further axes (agents) are independent."""
     rewards = np.asarray(rewards, dtype=float)
     out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
+    acc = np.zeros(rewards.shape[1:])
+    for t in range(len(rewards) - 1, -1, -1):
         acc = rewards[t] + gamma * acc
         out[t] = acc
     return out
 
 
-def _clipped(grad: np.ndarray, clip: float) -> np.ndarray:
-    norm = float(np.linalg.norm(grad))
-    if norm > clip:
-        grad = grad * (clip / norm)
-    return grad
+def sample_actions(rng: np.random.Generator, policy: np.ndarray) -> np.ndarray:
+    """One action per row of the (n_agents, n_actions) policy, from one
+    rng.random(n_agents) draw. Gives the actions, and leaves rng in the
+    state, that rng.choice(n_actions, p=row) for each row in turn would:
+    the same cumulative sums, uniforms and right-side search. Raises
+    ValueError, as rng.choice does, on a row that has a negative entry or
+    does not sum to 1."""
+    cdf = np.cumsum(policy, axis=1)
+    if (policy < 0.0).any() or (np.abs(cdf[:, -1] - 1.0) > _SUM_TOL).any():
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    cdf /= cdf[:, -1:]
+    return np.sum(cdf <= rng.random(len(policy))[:, None], axis=1)
 
 
 def rollout(
     env: PlatoonEnv,
-    nets: list[nn.AgentNet],
+    net: nn.AgentNet,
     obs_mode: str,
     episode_seed: int | None,
     rng: np.random.Generator | None = None,
 ) -> Episode:
-    """Run one episode. With rng, actions are sampled from the policies and
-    the episode keeps the forward records for learning; without, play is
-    greedy (argmax, lowest index wins ties) and keeps none."""
+    """Run one episode with the agent-batched `net`, one parameter row per
+    agent and one forward call per step. With rng, actions are sampled from
+    the policies and the episode keeps the forward activations for
+    learning; without, play is greedy (argmax, lowest index wins ties) and
+    keeps none."""
     obs = env.reset(seed=episode_seed)
     obs_dim = obs_dim_for(obs_mode)
-    n_steps, n_agents = env.cfg.episode_steps, len(nets)
-    hiddens = [nn.zero_hidden(net.hidden_dim) for net in nets]
-    records: list[list[nn.ForwardRecord]] = [[] for _ in nets]
+    n_steps, n_agents = env.cfg.episode_steps, env.n_agents
+    zeros = np.zeros((n_agents, net.hidden_dim))
+    hidden = nn.Hidden(h=zeros, c=zeros)
+    tape = None
     actions = np.empty((n_steps, n_agents), dtype=np.intp)
     values = np.empty((n_steps, n_agents))
     log = np.empty((len(LOG_FIELDS), n_steps, env.n_vehicles))
-    policies = [None] * n_agents
     for t in range(n_steps):
-        for i, net in enumerate(nets):
-            policy, values[t, i], hiddens[i], record = nn.forward(
-                net, obs[i, :obs_dim], hiddens[i]
-            )
-            if rng is None:
-                actions[t, i] = np.argmax(policy)
-            else:
-                actions[t, i] = rng.choice(N_ACTIONS, p=policy)
-                records[i].append(record)
-            policies[i] = policy
-        fingerprints = np.array(policies) if obs_mode == "fprint" else None
-        outcome = env.step(actions[t], fingerprints)
+        policy, values[t], hidden, record = nn.forward(net, obs[:, :obs_dim], hidden)
+        if rng is None:
+            actions[t] = np.argmax(policy, axis=1)
+        else:
+            actions[t] = sample_actions(rng, policy)
+            if tape is None:
+                tape = nn.ForwardRecord(*(np.empty((n_steps, *a.shape)) for a in record))
+            for buf, a in zip(tape, record):
+                buf[t] = a
+        outcome = env.step(actions[t], policy if obs_mode == "fprint" else None)
         log[:, t] = env.vehicle_values()
         if outcome.done:
             break
         obs = outcome.observations
-    collisions = int(np.sum(outcome.info["spacing_m"] <= MIN_SPACING)) if outcome.collision else 0
+    agents = slice(env.n_vehicles - n_agents, None)
+    collisions = int(np.sum(log[0, t, agents] <= MIN_SPACING)) if outcome.collision else 0
     log = log[:, : t + 1]
     return Episode(
         actions=actions[: t + 1],
         values=values[: t + 1],
-        rewards=log[LOG_FIELDS.index("reward"), :, env.n_vehicles - n_agents :],
-        records=records,
+        rewards=log[LOG_FIELDS.index("reward"), :, agents],
+        tape=None if tape is None else nn.ForwardRecord(*(a[: t + 1] for a in tape)),
         collisions=collisions,
         log=log,
     )
 
 
-def _update_agent(
+def _update(
     cfg: TrainConfig,
     net: nn.AgentNet,
     ep: Episode,
-    agent: int,
-    residuals: tuple[np.ndarray, np.ndarray] | None,
+    residuals: list[np.ndarray] | None,
     episode: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """One A2C update of agent `agent` from one episode. Actor and critic
-    gradients share the trunk but carry separate learning rates, so each
-    gets its own backward pass and its own global-norm clip.
+) -> None:
+    """One A2C update of every agent of the agent-batched `net` from one
+    episode, each agent on its own rewards. Actor and critic gradients share
+    the trunk but carry separate learning rates, so each gets its own
+    backward pass (one for all agents) and each agent's its own global-norm
+    clip. With compress_gradients, `residuals` holds the actor and critic
+    error-feedback stacks and is updated in place.
 
     The loss seeds: the actor loss  -sum_t A_t log pi(a_t) - entropy_coeff *
     sum_t H(pi_t)  gives dL/dpolicy, the critic loss  sum_t (G_t - V_t)^2
     gives dL/dvalue."""
-    records = ep.records[agent]
-    values = ep.values[:, agent]
-    returns = discounted_returns(ep.rewards[:, agent], cfg.gamma)
+    n_steps, n_agents = ep.actions.shape
+    values = ep.values
+    returns = discounted_returns(ep.rewards, cfg.gamma)
     advantages = returns - values
     if cfg.normalize_advantages:
-        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    policy = np.array([r.policy for r in records])
-    taken = np.arange(len(records)), ep.actions[:, agent]
+        # Each agent's advantages in one contiguous row, so the mean and std
+        # sum them pairwise, as they would a single agent's vector.
+        adv = np.ascontiguousarray(advantages.T)
+        mean, std = adv.mean(axis=1, keepdims=True), adv.std(axis=1, keepdims=True)
+        advantages = ((adv - mean) / (std + 1e-8)).T
+    policy = ep.tape.policy
+    taken = np.arange(n_steps)[:, None], np.arange(n_agents), ep.actions
     d_policy = cfg.entropy_coeff * (np.log(policy) + 1.0)
     d_policy[taken] -= advantages / policy[taken]
-    g_actor = nn.backward(net, records, d_policy, np.zeros(len(records)))
-    g_critic = nn.backward(net, records, np.zeros_like(policy), -2.0 * (returns - values))
-    g_actor = _clipped(g_actor, cfg.grad_clip)
-    g_critic = _clipped(g_critic, cfg.grad_clip)
-    if not (np.all(np.isfinite(g_actor)) and np.all(np.isfinite(g_critic))):
+    g_actor = nn.backward(net, ep.tape, d_policy, np.zeros((n_steps, n_agents)))
+    g_critic = nn.backward(net, ep.tape, np.zeros_like(policy), -2.0 * (returns - values))
+    for grad in (*g_actor, *g_critic):
+        norm = float(np.linalg.norm(grad))
+        if norm > cfg.grad_clip:
+            grad *= cfg.grad_clip / norm
+    finite = np.all(np.isfinite(g_actor), axis=1) & np.all(np.isfinite(g_critic), axis=1)
+    if not finite.all():
         raise RuntimeError(
-            f"non-finite gradients at episode {episode}, agent {agent}"
+            f"non-finite gradients at episode {episode}, agent {int(np.argmin(finite))}"
         )
     if cfg.compress_gradients:
         assert residuals is not None
-        res_a, res_c = residuals
-        w, res_a = qsgd_step(net.params, g_actor, res_a, cfg.actor_lr, cfg.consensus.tau)
-        w, res_c = qsgd_step(w, g_critic, res_c, cfg.critic_lr, cfg.consensus.tau)
+        tau = cfg.consensus.tau
+        w, res_a = qsgd_step(net.params, g_actor, residuals[0], cfg.actor_lr, tau)
+        w, res_c = qsgd_step(w, g_critic, residuals[1], cfg.critic_lr, tau)
         net.params[...] = w
-        return res_a, res_c
+        residuals[:] = res_a, res_c
+        return
     net.params -= cfg.actor_lr * g_actor
     net.params -= cfg.critic_lr * g_critic
-    return residuals
 
 
 def _train_episode(
     cfg: TrainConfig,
     env: PlatoonEnv,
-    nets: list[nn.AgentNet],
-    residuals: list[tuple[np.ndarray, np.ndarray] | None],
+    net: nn.AgentNet,
+    residuals: list[np.ndarray] | None,
     rng: np.random.Generator,
     episode: int,
     steps_done: int,
@@ -237,23 +260,17 @@ def _train_episode(
 ) -> LogRow:
     """One training episode: a sampled rollout, every agent's update, then a
     consensus round when one is due. The episode's arrays and forward
-    records are released on return, before the next rollout allocates its
-    own."""
+    activations are released on return, before the next rollout allocates
+    its own."""
     ep_seed = int(rng.integers(0, 2**63 - 1))
-    ep = rollout(env, nets, cfg.obs_mode, ep_seed, rng)
-    for i, net in enumerate(nets):
-        residuals[i] = _update_agent(cfg, net, ep, i, residuals[i], episode)
+    ep = rollout(env, net, cfg.obs_mode, ep_seed, rng)
+    _update(cfg, net, ep, residuals, episode)
     if cfg.consensus.protocol != "none" and episode % cfg.consensus.period == 0:
-        mixed = apply_consensus(
-            cfg.consensus.protocol,
-            [net.params for net in nets],
-            cfg.consensus.eps,
-            cfg.consensus.tau,
+        net.params[...] = apply_consensus(
+            cfg.consensus.protocol, net.params, cfg.consensus.eps, cfg.consensus.tau
         )
-        for net, w in zip(nets, mixed):
-            net.params[...] = w
         comm_bits += comm_bits_per_round(
-            cfg.consensus.protocol, nn.param_count(nets[0]), env.n_agents
+            cfg.consensus.protocol, nn.param_count(net), env.n_agents
         )
     # Python's sum adds in step order (np.sum adds pairwise); the log's
     # bytes depend on that order.
@@ -289,20 +306,19 @@ def train(
         seed = scenario.seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     obs_dim = obs_dim_for(cfg.obs_mode)
-    nets = [
-        nn.init_agent_net(obs_dim, hidden_dim, N_ACTIONS, rng)
-        for _ in range(env.n_agents)
-    ]
-    n_params = nn.param_count(nets[0])
-    residuals: list[tuple[np.ndarray, np.ndarray] | None] = [
-        (np.zeros(n_params), np.zeros(n_params)) if cfg.compress_gradients else None
-        for _ in nets
-    ]
+    net = nn.stack_nets(
+        [nn.init_agent_net(obs_dim, hidden_dim, N_ACTIONS, rng) for _ in range(env.n_agents)]
+    )
+    # The returned per-agent nets' vectors are the rows of the stack.
+    nets = [nn.AgentNet(obs_dim, hidden_dim, N_ACTIONS, params=row) for row in net.params]
+    residuals = None
+    if cfg.compress_gradients:
+        residuals = [np.zeros_like(net.params), np.zeros_like(net.params)]
     log: list[LogRow] = []
     steps_done = comm_bits = episode = 0
     while steps_done < cfg.total_steps:
         episode += 1
-        row = _train_episode(cfg, env, nets, residuals, rng, episode, steps_done, comm_bits)
+        row = _train_episode(cfg, env, net, residuals, rng, episode, steps_done, comm_bits)
         log.append(row)
         steps_done, comm_bits = row.steps, row.comm_bits_cum
         if (
@@ -458,9 +474,10 @@ def evaluate(
     env = PlatoonEnv(scenario, vehicle, ovm, reward, leader_profile)
     if len(nets) != env.n_agents:
         raise ConfigError(f"expected {env.n_agents} nets, got {len(nets)}")
+    net = nn.stack_nets(nets)
     rows = []
     for seed in range(scenario.seed, scenario.seed + n_seeds):
-        ep = rollout(env, nets, obs_mode, seed)
+        ep = rollout(env, net, obs_mode, seed)
         rows.append(episode_row(env, seed, ep.collisions, ep.log))
     def col(name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in rows])

@@ -1,15 +1,107 @@
-"""Step-by-step reference for the BPTT backward pass and the A2C loss seeds.
+"""References for the network passes and the A2C loss seeds.
 
-This is the per-step formulation the package used before backward() formed
-its weight gradients as products over the whole episode: every step adds
-outer products into the gradient, and each loss seed is a list of one
-(dL/dpolicy_t, dL/dvalue_t) pair per step. Property tests hold the
-vectorised code to it.
+- forward() and matrix_backward() are the single-agent passes the package
+  used before its network core took an agent axis: one forward call per
+  agent per step, and one backward call per agent and loss. The
+  agent-batched passes are held to them, agent by agent.
+- backward() is the older per-step formulation, from before the backward
+  pass formed its weight gradients as products over the whole episode:
+  every step adds outer products into the gradient, and each loss seed is
+  a list of one (dL/dpolicy_t, dL/dvalue_t) pair per step.
+- actor_loss_grads() and critic_loss_grads() build those per-step seeds.
 """
 
 import numpy as np
 
-from platoonrl.nn import AgentNet, ForwardRecord, _views
+from platoonrl.nn import AgentNet, ForwardRecord, Hidden, _sigmoid, _views
+
+
+def forward(
+    net: AgentNet, obs: np.ndarray, hidden: Hidden
+) -> tuple[np.ndarray, float, Hidden, ForwardRecord]:
+    """One step of one agent: (policy, value, new_hidden, record)."""
+    obs = np.asarray(obs, dtype=float)
+    if obs.shape != (net.obs_dim,):
+        raise ValueError(f"expected obs shape ({net.obs_dim},), got {obs.shape}")
+    hd = net.hidden_dim
+    x = np.tanh(net.input_w @ obs + net.input_b)
+    z = net.lstm_wx @ x + net.lstm_wh @ hidden.h + net.lstm_b
+    gate_i = _sigmoid(z[:hd])
+    gate_f = _sigmoid(z[hd : 2 * hd])
+    gate_g = np.tanh(z[2 * hd : 3 * hd])
+    gate_o = _sigmoid(z[3 * hd :])
+    c_new = gate_f * hidden.c + gate_i * gate_g
+    tanh_c = np.tanh(c_new)
+    h_new = gate_o * tanh_c
+    logits = net.actor_w @ h_new + net.actor_b
+    logits = logits - logits.max()
+    exp_l = np.exp(logits)
+    policy = exp_l / exp_l.sum()
+    value = float((net.critic_w @ h_new + net.critic_b)[0])
+    if not (np.all(np.isfinite(policy)) and np.isfinite(value)):
+        raise FloatingPointError("non-finite network output")
+    record = ForwardRecord(
+        obs=obs,
+        x=x,
+        h_prev=hidden.h,
+        c_prev=hidden.c,
+        gate_i=gate_i,
+        gate_f=gate_f,
+        gate_g=gate_g,
+        gate_o=gate_o,
+        tanh_c=tanh_c,
+        h_new=h_new,
+        policy=policy,
+    )
+    return policy, value, Hidden(h=h_new, c=c_new), record
+
+
+def matrix_backward(
+    net: AgentNet,
+    records: list[ForwardRecord],
+    d_policy: np.ndarray,
+    d_value: np.ndarray,
+) -> np.ndarray:
+    """One agent's episode gradient: the dh/dc recurrence step by step, every
+    weight gradient one product over the episode."""
+    d_policy = np.asarray(d_policy, dtype=float)
+    d_value = np.asarray(d_value, dtype=float)
+    n_steps, hd = len(records), net.hidden_dim
+    if d_policy.shape != (n_steps, net.n_actions) or d_value.shape != (n_steps,):
+        raise ValueError(f"loss seeds {d_policy.shape}, {d_value.shape} for {n_steps} records")
+    r = ForwardRecord(*map(np.array, zip(*records)))
+    p = r.policy
+    d_logits = p * (d_policy - np.sum(p * d_policy, axis=1, keepdims=True))
+    dh_head = d_logits @ net.actor_w + d_value[:, None] * net.critic_w[0]
+    d_tanh_c = 1.0 - r.tanh_c**2
+    gate_in = np.stack([r.gate_g, r.c_prev, r.gate_i], axis=1)
+    d_gate = np.stack([r.gate_i, r.gate_f, r.gate_g, r.gate_o], axis=1)
+    d_gate *= 1.0 - d_gate
+    d_gate[:, 2] = 1.0 - r.gate_g**2
+    dz = np.empty((n_steps, 4, hd))
+    dh_next = np.zeros(hd)
+    dc_next = np.zeros(hd)
+    for t in range(n_steps - 1, -1, -1):
+        dh = dh_head[t] + dh_next
+        dc = dh * r.gate_o[t] * d_tanh_c[t] + dc_next
+        dz[t, :3] = (dc * gate_in[t]) * d_gate[t, :3]
+        dz[t, 3] = (dh * r.tanh_c[t]) * d_gate[t, 3]
+        dh_next = net.lstm_wh.T @ dz[t].ravel()
+        dc_next = dc * r.gate_f[t]
+    dz = dz.reshape(n_steps, 4 * hd)
+    d_pre = (dz @ net.lstm_wx) * (1.0 - r.x**2)
+    grads = {
+        "input_w": d_pre.T @ r.obs,
+        "input_b": d_pre.sum(axis=0),
+        "lstm_wx": dz.T @ r.x,
+        "lstm_wh": dz.T @ r.h_prev,
+        "lstm_b": dz.sum(axis=0),
+        "actor_w": d_logits.T @ r.h_new,
+        "actor_b": d_logits.sum(axis=0),
+        "critic_w": d_value @ r.h_new,
+        "critic_b": d_value.sum(),
+    }
+    return np.concatenate([np.ravel(grads[name]) for name, _ in net.layout])
 
 
 def backward(

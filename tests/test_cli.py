@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from platoonrl.cli import main
+from platoonrl.nn import init_agent_net, save_params
 
 
 def run_cli(*argv):
@@ -28,6 +29,16 @@ class TestExitCodes:
         cfg.write_text("simulator: {}\n")
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_unknown_protocol_override_is_config_error(self, tiny_config, tmp_path, capsys):
+        code = run_cli(
+            "train", "--config", str(tiny_config), "--protocol", "foo",
+            "--output-dir", str(tmp_path / "p"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'foo'" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli(
@@ -184,6 +195,17 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "3 agent checkpoints" in err and "2 agents" in err
+
+    def test_mixed_network_sizes_are_data_error(self, tiny_config, tmp_path, capsys):
+        # Evaluation stacks the agents' networks, which needs equal sizes.
+        assert run_cli("train", "--config", str(tiny_config)) == 0
+        capsys.readouterr()
+        small = init_agent_net(15, hidden_dim=8, rng=np.random.default_rng(0))
+        save_params(small, tmp_path / "runs" / "checkpoints" / "seed0" / "agent1.npz")
+        assert run_cli("eval", "--config", str(tiny_config)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "agent1.npz" in err
 
     def test_eval_without_checkpoints_uses_fresh_nets(self, tiny_config, tmp_path, capsys):
         assert run_cli(

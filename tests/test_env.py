@@ -167,8 +167,9 @@ class TestStep:
         env.reset()
         for _ in range(50):
             out = env.step([3, 3, 3])
-            assert np.all(out.info["spacing_m"] == 20.0)
-            assert np.all(out.info["velocity_mps"] == 15.0)
+            spacing, velocity = env.vehicle_values()[:2]
+            assert np.all(spacing == 20.0)
+            assert np.all(velocity == 15.0)
             for r in out.rewards:
                 assert r == pytest.approx(EQ_REWARD, abs=1e-6)
         assert out.done and not out.collision
@@ -177,8 +178,8 @@ class TestStep:
         for action in range(N_ACTIONS):
             env = PlatoonEnv(quiet_scenario(episode_steps=5))
             env.reset()
-            out = env.step([action] * 3)
-            assert np.all(out.info["spacing_m"] == 20.0), f"action {action}"
+            env.step([action] * 3)
+            assert np.all(env.vehicle_values()[0] == 20.0), f"action {action}"
 
     def test_episode_length_termination(self):
         env = PlatoonEnv(quiet_scenario(episode_steps=5))
@@ -245,7 +246,7 @@ class TestStep:
                 break
         assert out.collision and out.done
         assert out.rewards[0] < -1000.0
-        assert out.info["spacing_m"][0] <= 1.0
+        assert env.vehicle_values()[0, env.agent_vehicles[0]] <= 1.0
         with pytest.raises(RuntimeError):
             env.step([0])
 

@@ -1,17 +1,23 @@
-"""Episode-matrix BPTT and the A2C loss seeds against the per-step reference.
+"""The network passes and the A2C loss seeds against their references.
 
-backward() forms its weight gradients as products over the whole episode,
-which sums the steps in another order than the per-step reference in
-reference_nn.py, so the two gradients must agree within 1e-12 of the
-gradient's largest entry. The loss seeds train builds as arrays must be
-bit-equal to the reference's per-step lists.
+- The agent-batched forward() must be bit-equal, agent by agent, to the
+  single-agent forward in reference_nn.py, and the agent-batched backward()
+  within 1e-12 of the gradient's largest entry to the single-agent
+  matrix-form backward (in practice they are bit-equal too).
+- backward() forms its weight gradients as products over the whole episode,
+  which sums the steps in another order than the per-step reference, so the
+  two gradients must agree within 1e-12 of the gradient's largest entry.
+- The loss seeds train builds as arrays must be bit-equal to the
+  reference's per-step lists.
+- The batched action sampler must give the actions and generator state of
+  one rng.choice per agent.
 """
 
 import numpy as np
 import pytest
 
 from platoonrl import nn
-from platoonrl.train import TrainConfig, _update_agent, discounted_returns, rollout
+from platoonrl.train import TrainConfig, _update, discounted_returns, rollout, sample_actions
 from platoonrl.env import N_ACTIONS, PlatoonEnv, ScenarioConfig
 
 import reference_nn as ref
@@ -62,21 +68,24 @@ def test_loss_seeds_bit_equal_to_reference(normalize, seed, monkeypatch):
     cfg = TrainConfig(normalize_advantages=normalize, entropy_coeff=0.03)
     env = PlatoonEnv(ScenarioConfig(n_vehicles=3, episode_steps=60))
     rng = np.random.default_rng(seed)
-    nets = [nn.init_agent_net(OBS_DIM, 8, N_ACTIONS, rng) for _ in range(env.n_agents)]
-    ep = rollout(env, nets, "ia2c", seed, rng)
+    net = nn.stack_nets(
+        [nn.init_agent_net(OBS_DIM, 8, N_ACTIONS, rng) for _ in range(env.n_agents)]
+    )
+    ep = rollout(env, net, "ia2c", seed, rng)
     calls = []
 
     def capture(net, records, d_policy, d_value):
         calls.append((records, d_policy, d_value))
-        return np.zeros(net.params.size)
+        return np.zeros(net.params.shape)
 
     monkeypatch.setattr(nn, "backward", capture)
-    for agent, net in enumerate(nets):
-        calls.clear()
-        _update_agent(cfg, net, ep, agent, None, 1)
-        (rec_a, dp_a, dv_a), (rec_c, dp_c, dv_c) = calls
-        assert rec_a is ep.records[agent] and rec_c is ep.records[agent]
-
+    _update(cfg, net, ep, None, 1)
+    (rec_a, dp_a, dv_a), (rec_c, dp_c, dv_c) = calls
+    assert rec_a is ep.tape and rec_c is ep.tape
+    for agent in range(env.n_agents):
+        records = [
+            nn.ForwardRecord(*(a[t, agent] for a in ep.tape)) for t in range(len(ep.actions))
+        ]
         rewards = [float(r) for r in ep.rewards[:, agent]]
         values = [float(v) for v in ep.values[:, agent]]
         returns = discounted_returns(np.array(rewards), cfg.gamma)
@@ -85,9 +94,124 @@ def test_loss_seeds_bit_equal_to_reference(normalize, seed, monkeypatch):
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         actions = [int(a) for a in ep.actions[:, agent]]
         for got_p, got_v, want in (
-            (dp_a, dv_a, ref.actor_loss_grads(
-                ep.records[agent], actions, advantages, cfg.entropy_coeff)),
-            (dp_c, dv_c, ref.critic_loss_grads(values, returns, N_ACTIONS)),
+            (dp_a[:, agent], dv_a[:, agent], ref.actor_loss_grads(
+                records, actions, advantages, cfg.entropy_coeff)),
+            (dp_c[:, agent], dv_c[:, agent], ref.critic_loss_grads(values, returns, N_ACTIONS)),
         ):
             assert np.array_equal(got_p, np.array([p for p, _ in want]))
             assert np.array_equal(got_v, np.array([v for _, v in want]))
+
+
+def batched_episode(seed, n_agents, hidden_dim, n_steps, head_scale):
+    """One episode of random observations through an agent-batched net and,
+    agent by agent, through the single-agent reference forward."""
+    rng = np.random.default_rng(seed)
+    nets = [nn.init_agent_net(OBS_DIM, hidden_dim, N_ACTIONS, rng) for _ in range(n_agents)]
+    for net in nets:
+        net.actor_w *= head_scale
+        net.critic_w *= head_scale
+        net.actor_b += rng.normal(scale=0.3, size=N_ACTIONS)
+    stacked = nn.stack_nets(nets)
+    scale = rng.uniform(0.3, 3.0, size=(n_agents, 1))
+    obs = rng.normal(size=(n_steps, n_agents, OBS_DIM)) * scale
+    hidden = nn.Hidden(np.zeros((n_agents, hidden_dim)), np.zeros((n_agents, hidden_dim)))
+    hiddens = [nn.zero_hidden(hidden_dim) for _ in nets]
+    steps, ref_steps = [], [[] for _ in nets]
+    for t in range(n_steps):
+        policy, value, hidden, record = nn.forward(stacked, obs[t], hidden)
+        steps.append((policy, value, hidden, record))
+        for i, net in enumerate(nets):
+            out = ref.forward(net, obs[t, i], hiddens[i])
+            hiddens[i] = out[2]
+            ref_steps[i].append(out)
+    return rng, nets, stacked, steps, ref_steps
+
+
+BATCH_CASES = [
+    (n_agents, hidden_dim, n_steps, head_scale)
+    for n_agents in (1, 2, 5, 8)
+    for hidden_dim in (8, 64)
+    for n_steps in (1, 2, 13, 150, 600)
+    for head_scale in (1.0, 40.0)
+]
+
+
+@pytest.mark.parametrize("n_agents,hidden_dim,n_steps,head_scale", BATCH_CASES)
+def test_batched_forward_bit_equal_to_single_agent(n_agents, hidden_dim, n_steps, head_scale):
+    seed = 100_000 * n_agents + 1000 * hidden_dim + n_steps + int(head_scale)
+    _, _, _, steps, ref_steps = batched_episode(seed, n_agents, hidden_dim, n_steps, head_scale)
+    for t, (policy, value, hidden, record) in enumerate(steps):
+        assert policy.shape == (n_agents, N_ACTIONS) and value.shape == (n_agents,)
+        for i in range(n_agents):
+            r_policy, r_value, r_hidden, r_record = ref_steps[i][t]
+            assert np.array_equal(policy[i], r_policy)
+            assert value[i] == r_value
+            assert np.array_equal(hidden.h[i], r_hidden.h)
+            assert np.array_equal(hidden.c[i], r_hidden.c)
+            for got, want in zip(record, r_record):
+                assert np.array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("n_agents,hidden_dim,n_steps,head_scale", BATCH_CASES)
+def test_batched_backward_matches_single_agent(n_agents, hidden_dim, n_steps, head_scale):
+    seed = 100_000 * n_agents + 1000 * hidden_dim + n_steps + int(head_scale)
+    rng, nets, stacked, steps, ref_steps = batched_episode(
+        seed, n_agents, hidden_dim, n_steps, head_scale
+    )
+    tape = nn.ForwardRecord(*map(np.array, zip(*(record for *_, record in steps))))
+    d_policy = rng.normal(size=(n_steps, n_agents, N_ACTIONS))
+    d_value = rng.normal(size=(n_steps, n_agents))
+    got = nn.backward(stacked, tape, d_policy, d_value)
+    assert got.shape == stacked.params.shape
+    for i, net in enumerate(nets):
+        records = [record for *_, record in ref_steps[i]]
+        want = ref.matrix_backward(
+            net, records, d_policy[:, i].copy(), d_value[:, i].copy()
+        )
+        err = np.max(np.abs(got[i] - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), f"agent {i}: max abs difference {err}"
+
+
+def test_batched_backward_rejects_seed_shapes():
+    _, _, stacked, steps, _ = batched_episode(0, 3, 8, 4, 1.0)
+    tape = nn.ForwardRecord(*map(np.array, zip(*(record for *_, record in steps))))
+    with pytest.raises(ValueError):
+        nn.backward(stacked, tape, np.zeros((4, N_ACTIONS)), np.zeros(4))
+    with pytest.raises(ValueError):
+        nn.backward(stacked, tape, np.zeros((4, 2, N_ACTIONS)), np.zeros((4, 2)))
+
+
+def random_policies(rng, n_agents):
+    """Softmax rows over a wide range of logit scales, including rows with
+    exact zeros (underflow) and one-hot rows."""
+    logits = rng.normal(size=(n_agents, N_ACTIONS)) * rng.choice([0.1, 1.0, 30.0, 800.0])
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sampler_matches_rng_choice(seed):
+    rng = np.random.default_rng(seed)
+    n_agents = int(rng.integers(1, 9))
+    ours = np.random.default_rng(seed + 1000)
+    theirs = np.random.default_rng(seed + 1000)
+    for _ in range(200):
+        policy = random_policies(rng, n_agents)
+        got = sample_actions(ours, policy)
+        want = [theirs.choice(N_ACTIONS, p=row) for row in policy]
+        assert got.tolist() == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[0.5, 0.6, -0.1, 0.0], [0.3, 0.3, 0.3, 0.3], [0.2, 0.2, 0.2, 0.2]],
+    ids=["negative", "sum-above-1", "sum-below-1"],
+)
+def test_sampler_rejects_what_rng_choice_rejects(row):
+    policy = np.array([[0.25] * N_ACTIONS, row])
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(N_ACTIONS, p=policy[1])
+    with pytest.raises(ValueError):
+        sample_actions(np.random.default_rng(0), policy)
