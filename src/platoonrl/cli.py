@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from dataclasses import replace
@@ -20,6 +19,7 @@ from . import nn
 from .config import RunConfig, load_config, resolve_output_dir
 from .env import LOG_FIELDS, N_ACTIONS, PlatoonEnv, obs_dim_for
 from .errors import ConfigError, DataError, FitError
+from .files import write_csv
 from .train import (
     EvalReport,
     consensus_bench,
@@ -154,15 +154,17 @@ def _nets_for(
             )
         nets = load_checkpoints(checkpoint_dir, n_agents)
         for i, net in enumerate(nets):
+            name = f"{checkpoint_dir}/agent{i}.npz"
             if net.obs_dim != obs_dim:
                 raise ConfigError(
-                    f"{checkpoint_dir}/agent{i}.npz takes {net.obs_dim} observation values, "
+                    f"{name} takes {net.obs_dim} observation values, "
                     f"but obs_mode {cfg.train.obs_mode!r} gives {obs_dim}"
                 )
-            if (net.hidden_dim, net.n_actions) != (nets[0].hidden_dim, nets[0].n_actions):
+            if net.n_actions != N_ACTIONS:
+                raise DataError(f"{name} has {net.n_actions} actions, the action set {N_ACTIONS}")
+            if net.hidden_dim != nets[0].hidden_dim:
                 raise DataError(
-                    f"{checkpoint_dir}/agent{i}.npz has hidden_dim {net.hidden_dim} and "
-                    f"{net.n_actions} actions, agent0.npz {nets[0].hidden_dim} and {nets[0].n_actions}"
+                    f"{name} has hidden_dim {net.hidden_dim}, agent0.npz {nets[0].hidden_dim}"
                 )
         return nets, f"checkpoints from {checkpoint_dir}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -173,12 +175,12 @@ def _nets_for(
 def _write_rollout_log(log: np.ndarray, path: Path) -> None:
     """Per-step per-vehicle rollout CSV from a rollout's vehicle log; nan
     marks undefined fields of a replayed leader."""
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "vehicle", *LOG_FIELDS])
-        for step, vehicles in enumerate(log.transpose(1, 2, 0).tolist(), start=1):
-            for i, values in enumerate(vehicles):
-                writer.writerow([step, i] + [f"{x:.6f}" for x in values])
+    rows = (
+        [step, i] + [f"{x:.6f}" for x in values]
+        for step, vehicles in enumerate(log.transpose(1, 2, 0).tolist(), start=1)
+        for i, values in enumerate(vehicles)
+    )
+    write_csv(path, ["step", "vehicle", *LOG_FIELDS], rows)
 
 
 def _cmd_fit_energy(args: argparse.Namespace) -> int:
@@ -192,10 +194,8 @@ def _cmd_fit_energy(args: argparse.Namespace) -> int:
     out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "energy_poly.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"p{k}{j}" for k in range(5) for j in range(5)])
-        writer.writerow([f"{c:.12e}" for c in poly.flat()])
+    header = [f"p{k}{j}" for k in range(5) for j in range(5)]
+    write_csv(path, header, [[f"{c:.12e}" for c in poly.flat()]])
     print(f"fit-energy: rmse_kw={rmse:.4f} grid={n_v}x{n_u} -> {path}")
     return 0
 
@@ -281,10 +281,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     ep = rollout(env, nn.stack_nets(nets), cfg.train.obs_mode, scenario.seed)
     row = episode_row(env, scenario.seed, ep.collisions, ep.log)
     _write_rollout_log(ep.log, out / "replay_log.csv")
-    stats = EvalReport(rows=[row], aggregate=row)
-    stats_path = out / "replay_stats.csv"
     # Single-rollout stats: one data row plus the (identical) aggregate row.
-    stats.to_csv(stats_path)
+    EvalReport(rows=[row], aggregate=row).to_csv(out / "replay_stats.csv")
     print(
         f"replay: window={t0:g}:{t1:g} samples={len(profile)} steps={len(ep.rewards)} "
         f"ivs_mean_m={row.ivs_mean_m:.3f} power_mean_kw={row.power_mean_kw:.3f} "
@@ -320,7 +318,7 @@ def _cmd_sweep_size(args: argparse.Namespace) -> int:
     out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
-    results = []
+    rows = []
     for n in (2, 4, 6, 8):
         scenario = replace(cfg.scenario, n_vehicles=n)
         result = train(
@@ -342,24 +340,20 @@ def _cmd_sweep_size(args: argparse.Namespace) -> int:
             reward=cfg.reward,
         )
         tail = result.log[-1]
-        results.append((n, tail, report.aggregate))
+        agg = report.aggregate
+        rows.append(
+            [n, tail.episode, f"{tail.mean_reward:.6f}", f"{agg.ivs_mean_m:.6f}",
+             f"{agg.velocity_mean_mps:.6f}", f"{agg.energy_kwh:.6f}", agg.collisions,
+             tail.comm_bits_cum]
+        )
         print(
             f"sweep-size: n={n} episodes={tail.episode} final_reward={tail.mean_reward:.3f} "
-            f"ivs_mean_m={report.aggregate.ivs_mean_m:.3f} collisions={report.aggregate.collisions}"
+            f"ivs_mean_m={agg.ivs_mean_m:.3f} collisions={agg.collisions}"
         )
     path = out / "sweep_size.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_vehicles", "episodes", "final_reward", "ivs_mean_m", "velocity_mean_mps",
-             "energy_kwh", "collisions", "comm_bits_cum"]
-        )
-        for n, tail, agg in results:
-            writer.writerow(
-                [n, tail.episode, f"{tail.mean_reward:.6f}", f"{agg.ivs_mean_m:.6f}",
-                 f"{agg.velocity_mean_mps:.6f}", f"{agg.energy_kwh:.6f}", agg.collisions,
-                 tail.comm_bits_cum]
-            )
+    header = ["n_vehicles", "episodes", "final_reward", "ivs_mean_m", "velocity_mean_mps",
+              "energy_kwh", "collisions", "comm_bits_cum"]
+    write_csv(path, header, rows)
     print(f"sweep-size: -> {path}")
     return 0
 

@@ -18,6 +18,7 @@ import yaml
 from .consensus import ConsensusConfig
 from .env import Perturbation, RewardWeights, ScenarioConfig
 from .errors import ConfigError
+from .files import replaced
 from .ovm import OvmParams
 from .train import TrainConfig
 from .vehicle import VehicleParams
@@ -78,10 +79,17 @@ _SECTIONS = {
     "ovm": OvmParams,
 }
 
+# OvmParams gains that a run config does not set: PlatoonEnv takes every
+# action's (alpha, beta) pair from env.ACTION_GAINS.
+_ACTION_GAINS_KEYS = ("alpha", "beta")
+
 
 def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    for key in _ACTION_GAINS_KEYS:
+        if isinstance(raw.get("ovm"), dict) and key in raw["ovm"]:
+            raise ConfigError(f"ovm.{key}: not a config key; the OVM gains come from ACTION_GAINS")
     kwargs: dict[str, Any] = {}
     for key, value in raw.items():
         if key in _SECTIONS:
@@ -104,9 +112,10 @@ def config_from_dict(raw: dict[str, Any]) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
     out: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        del cls
+    for name in _SECTIONS:
         out[name] = dataclasses.asdict(getattr(cfg, name))
+    for key in _ACTION_GAINS_KEYS:
+        del out["ovm"][key]
     out["output_dir"] = cfg.output_dir
     out["seeds"] = list(cfg.seeds)
     return out
@@ -129,7 +138,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
+    with replaced(path) as tmp:
+        tmp.write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
 
 
 def resolve_output_dir(cfg: RunConfig, flag_value: str | None = None) -> Path:

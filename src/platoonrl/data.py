@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .files import replaced
 
 _VEL_COL = re.compile(r"^v\d+$")
 V_SANITY_MAX = 60.0  # m/s; anything above this is a malformed trace
@@ -123,11 +124,10 @@ def resample(table: TraceTable, dt: float) -> TraceTable:
 def save_profile(profile: LeaderProfile, path: str | Path) -> None:
     """Write a profile as single-column CSV with a comment header recording
     the source window and sampling interval."""
-    with Path(path).open("w", newline="") as fh:
-        fh.write(f"# source={profile.label} t0={profile.t0:g} t1={profile.t1:g} dt={profile.dt:g}\n")
-        fh.write("velocity_mps\n")
-        for v in profile.velocities:
-            fh.write(f"{v:.6f}\n")
+    header = f"# source={profile.label} t0={profile.t0:g} t1={profile.t1:g} dt={profile.dt:g}\n"
+    values = "".join(f"{v:.6f}\n" for v in profile.velocities)
+    with replaced(path) as tmp:
+        tmp.write_text(header + "velocity_mps\n" + values, newline="")
 
 
 def load_profile(path: str | Path) -> LeaderProfile:

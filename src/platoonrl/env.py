@@ -240,6 +240,7 @@ class PlatoonEnv:
         self._rewards: np.ndarray | None = None
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
+        self._v_ahead: np.ndarray | None = None
         self._step_idx = 0
         self._done = True
 
@@ -328,7 +329,9 @@ class PlatoonEnv:
         s = self._state
         a = self._first
         d, v, v0 = s.spacing_m[a:], s.velocity_mps[a:], self._v0[a:]
-        dv = self._agent_ahead_velocity() - v
+        # Kept for the next step's car-following law.
+        self._v_ahead = self._agent_ahead_velocity()
+        dv = self._v_ahead - v
         v_head = headway_velocity(self.ovm, d)
         obs = np.zeros((self.n_agents, obs_dim_for("fprint")))
         own = obs[:, :_OWN_DIM]
@@ -374,7 +377,7 @@ class PlatoonEnv:
         a = self._first
         s = self._state
         agents = VehicleState(s.spacing_m[a:], s.velocity_mps[a:], s.accel_mps2[a:])
-        v_ahead = self._agent_ahead_velocity()
+        v_ahead = self._v_ahead
         # Gain-law accelerations from the pre-step snapshot: the law under
         # every gain pair at once, then each agent's row.
         u_all = ovm_accel(self._gain_table, agents.spacing_m, agents.velocity_mps, v_ahead)

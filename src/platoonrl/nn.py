@@ -27,7 +27,6 @@ agents does not change any agent's numbers.
 from __future__ import annotations
 
 import math
-import os
 import zipfile
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -35,6 +34,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
+from .files import replaced
 
 HIDDEN_DIM = 64  # LSTM width of every network the package builds by default
 
@@ -352,20 +352,9 @@ def save_params(net: AgentNet, path: str | Path) -> None:
     """Checkpoint: flat float64 parameter vector plus a dimensions header.
     Written to a temporary file beside `path` and then moved over it, so an
     interrupted write leaves any earlier checkpoint intact."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
-    try:
-        np.savez(
-            tmp,
-            flat=net.params,
-            obs_dim=net.obs_dim,
-            hidden_dim=net.hidden_dim,
-            n_actions=net.n_actions,
-        )
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    dims = {k: getattr(net, k) for k in _CHECKPOINT_KEYS[1:]}
+    with replaced(path) as tmp:
+        np.savez(tmp, flat=net.params, **dims)
 
 
 def load_params(path: str | Path) -> AgentNet:

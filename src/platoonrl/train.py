@@ -8,8 +8,7 @@ LSTM carry reset at every episode start.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .env import (
     obs_dim_for,
 )
 from .errors import ConfigError
+from .files import write_csv
 from .ovm import OvmParams
 from .vehicle import MIN_SPACING, VehicleParams
 
@@ -345,22 +345,15 @@ def load_checkpoints(directory: str | Path, n_agents: int) -> list[nn.AgentNet]:
     return [nn.load_params(directory / f"agent{i}.npz") for i in range(n_agents)]
 
 
+def _cells(row: LogRow | EvalRow) -> list[object]:
+    """CSV cells of a LogRow or EvalRow, whose field names are the header,
+    in field order; fixed float formatting keeps repeat runs byte-identical."""
+    values = (getattr(row, f.name) for f in fields(row))
+    return [f"{v:.6f}" if isinstance(v, float) else v for v in values]
+
+
 def write_train_log(log: list[LogRow], path: str | Path) -> None:
-    """Training log CSV; fixed float formatting keeps repeat runs
-    byte-identical."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "steps", "mean_reward", "collisions", "comm_bits_cum"])
-        for row in log:
-            writer.writerow(
-                [
-                    row.episode,
-                    row.steps,
-                    f"{row.mean_reward:.6f}",
-                    row.collisions,
-                    row.comm_bits_cum,
-                ]
-            )
+    write_csv(path, [f.name for f in fields(LogRow)], map(_cells, log))
 
 
 @dataclass(frozen=True)
@@ -389,42 +382,24 @@ class EvalReport:
     aggregate: EvalRow
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "seed",
-                    "ivs_mean_m",
-                    "ivs_std_m",
-                    "velocity_mean_mps",
-                    "velocity_std_mps",
-                    "accel_mean_mps2",
-                    "accel_std_mps2",
-                    "power_mean_kw",
-                    "power_std_kw",
-                    "energy_kwh",
-                    "collisions",
-                ]
-            )
-            for row in self.rows + [self.aggregate]:
-                writer.writerow(
-                    [row.seed]
-                    + [
-                        f"{x:.6f}"
-                        for x in (
-                            row.ivs_mean_m,
-                            row.ivs_std_m,
-                            row.velocity_mean_mps,
-                            row.velocity_std_mps,
-                            row.accel_mean_mps2,
-                            row.accel_std_mps2,
-                            row.power_mean_kw,
-                            row.power_std_kw,
-                            row.energy_kwh,
-                        )
-                    ]
-                    + [row.collisions]
-                )
+        rows = self.rows + [self.aggregate]
+        write_csv(path, [f.name for f in fields(EvalRow)], map(_cells, rows))
+
+
+# EvalRow's (mean, std) field pairs: spacing, velocity, |acceleration|,
+# platoon power.
+_MEAN_STD = (
+    ("ivs_mean_m", "ivs_std_m"), ("velocity_mean_mps", "velocity_std_mps"),
+    ("accel_mean_mps2", "accel_std_mps2"), ("power_mean_kw", "power_std_kw"),
+)
+
+
+def _mean_std(samples: Sequence[np.ndarray]) -> dict[str, float]:
+    """The _MEAN_STD fields: each pair's mean and std of its samples."""
+    out = {}
+    for (mean, std), x in zip(_MEAN_STD, samples):
+        out[mean], out[std] = float(x.mean()), float(x.std())
+    return out
 
 
 def episode_row(env: PlatoonEnv, seed: int, collisions: int, log: np.ndarray) -> EvalRow:
@@ -432,21 +407,11 @@ def episode_row(env: PlatoonEnv, seed: int, collisions: int, log: np.ndarray) ->
     energy sum over all simulated vehicles; spacing/velocity/|accel|
     statistics cover the agents."""
     agents = slice(env.n_vehicles - env.n_agents, None)
-    spacing, velocity, accel, power = log[:4]
-    sp = spacing[:, agents].ravel()
-    ve = velocity[:, agents].ravel()
-    ac = np.abs(accel[:, agents]).ravel()
-    platoon_power = power.sum(axis=1)
+    spacing, velocity, accel = (x[:, agents].ravel() for x in log[:3])
+    power = log[3]
     return EvalRow(
         seed=seed,
-        ivs_mean_m=float(sp.mean()),
-        ivs_std_m=float(sp.std()),
-        velocity_mean_mps=float(ve.mean()),
-        velocity_std_mps=float(ve.std()),
-        accel_mean_mps2=float(ac.mean()),
-        accel_std_mps2=float(ac.std()),
-        power_mean_kw=float(platoon_power.mean()),
-        power_std_kw=float(platoon_power.std()),
+        **_mean_std((spacing, velocity, np.abs(accel), power.sum(axis=1))),
         energy_kwh=float(power.sum() * env.cfg.dt / 3600.0),
         collisions=collisions,
     )
@@ -483,14 +448,7 @@ def evaluate(
         return np.array([getattr(r, name) for r in rows])
     aggregate = EvalRow(
         seed="all",
-        ivs_mean_m=float(col("ivs_mean_m").mean()),
-        ivs_std_m=float(col("ivs_mean_m").std()),
-        velocity_mean_mps=float(col("velocity_mean_mps").mean()),
-        velocity_std_mps=float(col("velocity_mean_mps").std()),
-        accel_mean_mps2=float(col("accel_mean_mps2").mean()),
-        accel_std_mps2=float(col("accel_mean_mps2").std()),
-        power_mean_kw=float(col("power_mean_kw").mean()),
-        power_std_kw=float(col("power_mean_kw").std()),
+        **_mean_std([col(mean) for mean, _ in _MEAN_STD]),
         energy_kwh=float(col("energy_kwh").mean()),
         collisions=int(col("collisions").sum()),
     )
@@ -559,8 +517,5 @@ def consensus_bench(
 
 
 def write_consensus_bench(rows: list[tuple[int, str, float, int]], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "protocol", "spread", "bits_cumulative"])
-        for rnd, protocol, spread, bits in rows:
-            writer.writerow([rnd, protocol, f"{spread:.9f}", bits])
+    cells = ([rnd, protocol, f"{spread:.9f}", bits] for rnd, protocol, spread, bits in rows)
+    write_csv(path, ["round", "protocol", "spread", "bits_cumulative"], cells)

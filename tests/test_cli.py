@@ -40,6 +40,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "'foo'" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_ovm_gain_key_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gains.yaml"
+        cfg.write_text(
+            "ovm: {alpha: 0.0, beta: 2.0}\n"
+            "scenario: {n_vehicles: 2, episode_steps: 40}\n"
+            "train: {total_steps: 40, eval_seeds: 1}\n"
+        )
+        code = run_cli("train", "--config", str(cfg), "--output-dir", str(tmp_path / "g"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ovm.alpha: ") and err.count("\n") == 1
+        assert "ACTION_GAINS" in err
+
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli(
             "fit-energy", "--grid", "fine", "--output-dir", str(tmp_path)
@@ -206,6 +219,22 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "agent1.npz" in err
+
+    @pytest.mark.parametrize("n_actions", [3, 5])
+    def test_wrong_action_count_is_data_error(self, n_actions, tiny_config, tmp_path, capsys):
+        # The action set has four gain pairs: a policy over three would run
+        # on the wrong gains, one over five would pick a gain pair that does
+        # not exist.
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        rng = np.random.default_rng(0)
+        for i in range(2):
+            save_params(init_agent_net(15, 8, n_actions, rng), ckpt / f"agent{i}.npz")
+        code = run_cli("eval", "--config", str(tiny_config), "--checkpoint-dir", str(ckpt))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "agent0.npz" in err and f"{n_actions} actions" in err
 
     def test_eval_without_checkpoints_uses_fresh_nets(self, tiny_config, tmp_path, capsys):
         assert run_cli(

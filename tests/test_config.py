@@ -136,3 +136,19 @@ class TestResolveOutputDir:
     def test_default(self, monkeypatch):
         monkeypatch.delenv("CACC_OUTPUT_DIR", raising=False)
         assert resolve_output_dir(config_from_dict({}), None) == Path("runs")
+
+
+class TestActionGains:
+    """The car-following gains come from the action set, not the config."""
+
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    def test_gain_key_is_rejected(self, key):
+        with pytest.raises(ConfigError, match=rf"ovm\.{key}: .*ACTION_GAINS"):
+            config_from_dict({"ovm": {key: 0.0, "d_stop": 4.0}})
+
+    def test_saved_config_has_no_gain_keys(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        save_config(RunConfig(), path)
+        assert set(config_to_dict(RunConfig())["ovm"]) == {"d_stop", "d_go", "v_max"}
+        assert "alpha" not in path.read_text() and "beta" not in path.read_text()
+        assert load_config(path) == RunConfig()
