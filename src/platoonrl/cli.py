@@ -17,10 +17,11 @@ import numpy as np
 from . import data as data_mod
 from . import nn
 from .config import RunConfig, load_config, resolve_output_dir
-from .env import LOG_FIELDS, N_ACTIONS, PlatoonEnv, obs_dim_for
+from .env import LOG_FIELDS, N_ACTIONS, PlatoonEnv, ScenarioConfig, obs_dim_for
 from .errors import ConfigError, DataError, FitError
 from .files import write_csv
 from .train import (
+    CHECKPOINT_NAME,
     EvalReport,
     consensus_bench,
     episode_row,
@@ -41,58 +42,36 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Every flag, defined once; each subcommand lists the ones it takes in
+# _COMMANDS. --config is required everywhere except fit-energy.
+_FLAGS: dict[str, dict] = {
+    "--config": dict(help="YAML run config"),
+    "--output-dir": dict(help="override the config output directory"),
+    "--seed": dict(type=int, help="override the run seed(s)"),
+    "--protocol": dict(help="consensus protocol override (consensus-bench: run only this one)"),
+    "--steps": dict(type=int, help="total env steps override"),
+    "--n-vehicles": dict(type=int, help="platoon size override"),
+    "--obs-mode": dict(help="observation mode override (ia2c|fprint)"),
+    "--checkpoint-dir": dict(help="checkpoint directory to load"),
+    "--trace": dict(help="trace CSV for trace-replay scenarios (replay: required)"),
+    "--window": dict(help="trace window as t0:t1 seconds (replay: required)"),
+    "--leader-col": dict(default="v1", help="trace leader column"),
+    "--grid": dict(default="61x51", help="fit grid as NVxNU, e.g. 61x51"),
+    "--rounds": dict(type=int, default=500, help="mixing rounds"),
+}
+_COMMON = ("--config", "--output-dir", "--seed")
+_TRACE = ("--trace", "--window", "--leader-col")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="platoonrl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser, config_required: bool) -> None:
-        p.add_argument("--config", required=config_required, help="YAML run config")
-        p.add_argument("--output-dir", help="override the config output directory")
-        p.add_argument("--seed", type=int, help="override the run seed(s)")
-
-    p = sub.add_parser("fit-energy", parents=[], help="fit the power surrogate")
-    add_common(p, config_required=False)
-    p.add_argument("--grid", default="61x51", help="fit grid as NVxNU, e.g. 61x51")
-
-    p = sub.add_parser("train", help="train one run per configured seed")
-    add_common(p, config_required=True)
-    p.add_argument("--protocol", help="consensus protocol override")
-    p.add_argument("--steps", type=int, help="total env steps override")
-    p.add_argument("--n-vehicles", type=int, help="platoon size override")
-    p.add_argument("--obs-mode", help="observation mode override (ia2c|fprint)")
-    p.add_argument("--trace", help="trace CSV for trace-replay scenarios")
-    p.add_argument("--window", help="trace window as t0:t1 seconds")
-    p.add_argument("--leader-col", default="v1", help="trace leader column")
-
-    p = sub.add_parser("eval", help="evaluate trained checkpoints")
-    add_common(p, config_required=True)
-    p.add_argument("--n-vehicles", type=int, help="platoon size override")
-    p.add_argument("--obs-mode", help="observation mode override (ia2c|fprint)")
-    p.add_argument("--checkpoint-dir", help="checkpoint directory to load")
-    p.add_argument("--trace", help="trace CSV for trace-replay scenarios")
-    p.add_argument("--window", help="trace window as t0:t1 seconds")
-    p.add_argument("--leader-col", default="v1", help="trace leader column")
-
-    p = sub.add_parser("replay", help="replay a recorded leader trace")
-    add_common(p, config_required=True)
-    p.add_argument("--trace", required=True, help="trace CSV path")
-    p.add_argument("--window", required=True, help="trace window as t0:t1 seconds")
-    p.add_argument("--leader-col", default="v1", help="trace leader column")
-    p.add_argument("--n-vehicles", type=int, help="platoon size override")
-    p.add_argument("--obs-mode", help="observation mode override (ia2c|fprint)")
-    p.add_argument("--checkpoint-dir", help="checkpoint directory to load")
-
-    p = sub.add_parser("consensus-bench", help="benchmark the mixing protocols")
-    add_common(p, config_required=True)
-    p.add_argument("--protocol", help="run a single protocol instead of all")
-    p.add_argument("--rounds", type=int, default=500, help="mixing rounds")
-    p.add_argument("--n-vehicles", type=int, help="agent count override")
-
-    p = sub.add_parser("sweep-size", help="train/evaluate platoon sizes 2,4,6,8")
-    add_common(p, config_required=True)
-    p.add_argument("--protocol", help="consensus protocol override")
-    p.add_argument("--steps", type=int, help="total env steps override")
-    p.add_argument("--obs-mode", help="observation mode override (ia2c|fprint)")
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        for flag in (*_COMMON, *flags):
+            required = flag == "--config" and name != "fit-energy"
+            p.add_argument(flag, required=required, **_FLAGS[flag])
     return parser
 
 
@@ -115,56 +94,44 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, scenario=scenario, train=train_cfg, seeds=seeds)
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    try:
-        t0_s, t1_s = text.split(":")
-        return float(t0_s), float(t1_s)
-    except ValueError:
-        raise ConfigError(f"--window expects t0:t1, got {text!r}") from None
-
-
-def _leader_profile(args: argparse.Namespace, cfg: RunConfig) -> np.ndarray | None:
-    """Build the replayed-leader profile when the scenario needs one."""
-    if cfg.scenario.leader_mode != "trace-replay":
+def _leader_profile(
+    args: argparse.Namespace, scenario: ScenarioConfig
+) -> data_mod.LeaderProfile | None:
+    """The replayed-leader profile a trace-replay scenario needs: the
+    --leader-col column of --trace over --window (the whole trace when
+    absent), sampled every scenario.dt."""
+    if scenario.leader_mode != "trace-replay":
         return None
-    if getattr(args, "trace", None) is None:
+    if args.trace is None:
         raise ConfigError("trace-replay scenarios require --trace")
     table = data_mod.parse_trace_csv(args.trace)
-    if getattr(args, "window", None):
-        t0, t1 = _parse_window(args.window)
-    else:
+    if not args.window:
         t0, t1 = float(table.times[0]), float(table.times[-1])
-    profile = data_mod.extract_window(
-        table, args.leader_col, t0, t1, cfg.scenario.dt
-    )
-    return profile.velocities
+    else:
+        try:
+            t0, t1 = map(float, args.window.split(":"))
+        except ValueError:
+            raise ConfigError(f"--window expects t0:t1, got {args.window!r}") from None
+    return data_mod.extract_window(table, args.leader_col, t0, t1, scenario.dt)
+
+
+def _models(cfg: RunConfig) -> dict[str, object]:
+    """The vehicle, car-following and reward settings of every simulation."""
+    return dict(vehicle=cfg.vehicle, ovm=cfg.ovm, reward=cfg.reward)
 
 
 def _nets_for(
     cfg: RunConfig, checkpoint_dir: str | None, n_agents: int, seed: int
 ) -> tuple[list[nn.AgentNet], str]:
-    """Load checkpoints when available, else fresh seeded networks."""
+    """Load checkpoints when the directory exists, else fresh seeded networks."""
     obs_dim = obs_dim_for(cfg.train.obs_mode)
     if checkpoint_dir is not None and Path(checkpoint_dir).exists():
-        found = len(list(Path(checkpoint_dir).glob("agent*.npz")))
-        if found != n_agents:
-            raise ConfigError(
-                f"{checkpoint_dir} holds {found} agent checkpoints, "
-                f"but the scenario has {n_agents} agents"
-            )
         nets = load_checkpoints(checkpoint_dir, n_agents)
         for i, net in enumerate(nets):
-            name = f"{checkpoint_dir}/agent{i}.npz"
             if net.obs_dim != obs_dim:
                 raise ConfigError(
-                    f"{name} takes {net.obs_dim} observation values, "
-                    f"but obs_mode {cfg.train.obs_mode!r} gives {obs_dim}"
-                )
-            if net.n_actions != N_ACTIONS:
-                raise DataError(f"{name} has {net.n_actions} actions, the action set {N_ACTIONS}")
-            if net.hidden_dim != nets[0].hidden_dim:
-                raise DataError(
-                    f"{name} has hidden_dim {net.hidden_dim}, agent0.npz {nets[0].hidden_dim}"
+                    f"{Path(checkpoint_dir) / CHECKPOINT_NAME.format(i)} takes {net.obs_dim} "
+                    f"observation values, but obs_mode {cfg.train.obs_mode!r} gives {obs_dim}"
                 )
         return nets, f"checkpoints from {checkpoint_dir}"
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -202,20 +169,15 @@ def _cmd_fit_energy(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    profile = _leader_profile(args, cfg)
+    profile = _leader_profile(args, cfg.scenario)
+    leader = None if profile is None else profile.velocities
     out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
         t_start = time.perf_counter()
         result = train(
-            cfg.train,
-            cfg.scenario,
-            seed=seed,
-            vehicle=cfg.vehicle,
-            ovm=cfg.ovm,
-            reward=cfg.reward,
-            leader_profile=profile,
-            checkpoint_dir=out / "checkpoints" / f"seed{seed}",
+            cfg.train, cfg.scenario, seed=seed, leader_profile=leader,
+            checkpoint_dir=out / "checkpoints" / f"seed{seed}", **_models(cfg),
         )
         log_path = out / f"train_log_seed{seed}.csv"
         write_train_log(result.log, log_path)
@@ -230,31 +192,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_eval(cfg: RunConfig, args: argparse.Namespace, profile: np.ndarray | None) -> EvalReport:
-    env = PlatoonEnv(cfg.scenario, cfg.vehicle, cfg.ovm, cfg.reward, profile)
-    seed = cfg.seeds[0]
-    default_dir = resolve_output_dir(cfg, args.output_dir) / "checkpoints" / f"seed{seed}"
-    checkpoint_dir = getattr(args, "checkpoint_dir", None) or str(default_dir)
-    nets, source = _nets_for(cfg, checkpoint_dir, env.n_agents, seed)
-    print(f"eval: using {source}")
-    return evaluate(
-        nets,
-        cfg.scenario,
-        cfg.train.eval_seeds,
-        obs_mode=cfg.train.obs_mode,
-        vehicle=cfg.vehicle,
-        ovm=cfg.ovm,
-        reward=cfg.reward,
-        leader_profile=profile,
-    )
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    profile = _leader_profile(args, cfg)
+    profile = _leader_profile(args, cfg.scenario)
+    leader = None if profile is None else profile.velocities
     out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = _run_eval(cfg, args, profile)
+    env = PlatoonEnv(cfg.scenario, leader_profile=leader, **_models(cfg))
+    seed = cfg.seeds[0]
+    checkpoint_dir = args.checkpoint_dir or str(out / "checkpoints" / f"seed{seed}")
+    nets, source = _nets_for(cfg, checkpoint_dir, env.n_agents, seed)
+    print(f"eval: using {source}")
+    report = evaluate(
+        nets, cfg.scenario, cfg.train.eval_seeds, obs_mode=cfg.train.obs_mode,
+        leader_profile=leader, **_models(cfg),
+    )
     path = out / "eval_report.csv"
     report.to_csv(path)
     agg = report.aggregate
@@ -266,27 +218,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    """One greedy rollout behind the --window of --trace; its three output
+    files are written only once the rollout has run."""
+    if not args.window:
+        raise ConfigError("replay requires --window")
     cfg = _load_run_config(args)
     scenario = replace(cfg.scenario, leader_mode="trace-replay")
-    table = data_mod.parse_trace_csv(args.trace)
-    t0, t1 = _parse_window(args.window)
-    profile = data_mod.extract_window(table, args.leader_col, t0, t1, scenario.dt)
+    profile = _leader_profile(args, scenario)
     scenario = replace(scenario, episode_steps=max(1, len(profile) - 1))
-    out = resolve_output_dir(cfg, args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    data_mod.save_profile(profile, out / "leader_profile.csv")
-    env = PlatoonEnv(scenario, cfg.vehicle, cfg.ovm, cfg.reward, profile.velocities)
+    env = PlatoonEnv(scenario, leader_profile=profile.velocities, **_models(cfg))
     nets, source = _nets_for(cfg, args.checkpoint_dir, env.n_agents, cfg.seeds[0])
     print(f"replay: using {source}")
     ep = rollout(env, nn.stack_nets(nets), cfg.train.obs_mode, scenario.seed)
     row = episode_row(env, scenario.seed, ep.collisions, ep.log)
+    out = resolve_output_dir(cfg, args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    data_mod.save_profile(profile, out / "leader_profile.csv")
     _write_rollout_log(ep.log, out / "replay_log.csv")
     # Single-rollout stats: one data row plus the (identical) aggregate row.
     EvalReport(rows=[row], aggregate=row).to_csv(out / "replay_stats.csv")
     print(
-        f"replay: window={t0:g}:{t1:g} samples={len(profile)} steps={len(ep.rewards)} "
-        f"ivs_mean_m={row.ivs_mean_m:.3f} power_mean_kw={row.power_mean_kw:.3f} "
-        f"collisions={row.collisions} -> {out / 'replay_log.csv'}"
+        f"replay: window={profile.t0:g}:{profile.t1:g} samples={len(profile)} "
+        f"steps={len(ep.rewards)} ivs_mean_m={row.ivs_mean_m:.3f} "
+        f"power_mean_kw={row.power_mean_kw:.3f} collisions={row.collisions} "
+        f"-> {out / 'replay_log.csv'}"
     )
     return 0
 
@@ -321,23 +276,11 @@ def _cmd_sweep_size(args: argparse.Namespace) -> int:
     rows = []
     for n in (2, 4, 6, 8):
         scenario = replace(cfg.scenario, n_vehicles=n)
-        result = train(
-            cfg.train,
-            scenario,
-            seed=seed,
-            vehicle=cfg.vehicle,
-            ovm=cfg.ovm,
-            reward=cfg.reward,
-        )
+        result = train(cfg.train, scenario, seed=seed, **_models(cfg))
         write_train_log(result.log, out / f"train_log_n{n}_seed{seed}.csv")
         report = evaluate(
-            result.nets,
-            scenario,
-            cfg.train.eval_seeds,
-            obs_mode=cfg.train.obs_mode,
-            vehicle=cfg.vehicle,
-            ovm=cfg.ovm,
-            reward=cfg.reward,
+            result.nets, scenario, cfg.train.eval_seeds, obs_mode=cfg.train.obs_mode,
+            **_models(cfg),
         )
         tail = result.log[-1]
         agg = report.aggregate
@@ -358,13 +301,19 @@ def _cmd_sweep_size(args: argparse.Namespace) -> int:
     return 0
 
 
+# Subcommand -> (handler, help, the flags it takes beyond _COMMON).
 _COMMANDS = {
-    "fit-energy": _cmd_fit_energy,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "replay": _cmd_replay,
-    "consensus-bench": _cmd_consensus_bench,
-    "sweep-size": _cmd_sweep_size,
+    "fit-energy": (_cmd_fit_energy, "fit the power surrogate", ("--grid",)),
+    "train": (_cmd_train, "train one run per configured seed",
+              ("--protocol", "--steps", "--n-vehicles", "--obs-mode", *_TRACE)),
+    "eval": (_cmd_eval, "evaluate trained checkpoints",
+             ("--n-vehicles", "--obs-mode", "--checkpoint-dir", *_TRACE)),
+    "replay": (_cmd_replay, "replay a recorded leader trace",
+               ("--n-vehicles", "--obs-mode", "--checkpoint-dir", *_TRACE)),
+    "consensus-bench": (_cmd_consensus_bench, "benchmark the mixing protocols",
+                        ("--protocol", "--rounds", "--n-vehicles")),
+    "sweep-size": (_cmd_sweep_size, "train/evaluate platoon sizes 2,4,6,8",
+                   ("--protocol", "--steps", "--obs-mode")),
 }
 
 
@@ -372,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ keys are rejected with a field-path message.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,7 @@ class RunConfig:
         if not self.seeds:
             raise ConfigError("seeds must contain at least one integer")
         for s in self.seeds:
-            if not isinstance(s, int) or s < 0:
+            if isinstance(s, bool) or not isinstance(s, int) or s < 0:
                 raise ConfigError("seeds must be non-negative integers")
 
 
@@ -61,6 +62,22 @@ def _build(cls: type, mapping: dict[str, Any], path: str) -> Any:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+# What a field of each scalar type takes. A bool is not a number here.
+_EXPECTED = {"bool": "true or false", "int": "an integer", "float": "a finite number"}
+
+
+def _fits(type_name: str, value: Any) -> bool:
+    """Whether value suits a field declared type_name: bool fields take
+    bools, int fields ints, float fields finite ints or floats."""
+    if type_name not in _EXPECTED:
+        return True
+    if type_name == "bool" or isinstance(value, bool):
+        return type_name == "bool" and isinstance(value, bool)
+    if type_name == "int":
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _convert(f: dataclasses.Field, value: Any, path: str) -> Any:
     if f.name == "perturbation":
         if value is None:
@@ -68,6 +85,8 @@ def _convert(f: dataclasses.Field, value: Any, path: str) -> Any:
         return _build(Perturbation, value, path)
     if f.name == "consensus":
         return _build(ConsensusConfig, value, path)
+    if not _fits(f.type, value):
+        raise ConfigError(f"{path}: expected {_EXPECTED[f.type]}, got {value!r}")
     return value
 
 

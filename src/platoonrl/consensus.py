@@ -99,8 +99,9 @@ def ternary_quantize(x: np.ndarray, tau: float = 0.0) -> np.ndarray:
 def _stack_weights(
     weights: list[np.ndarray] | np.ndarray, graph: NeighborGraph | None
 ) -> tuple[np.ndarray, NeighborGraph]:
-    """The agents' vectors as one (n_agents, P) copy, and the graph (the line
-    graph when none is given)."""
+    """The agents' vectors as one (n_agents, P) float array, and the graph
+    (the line graph when none is given). A float stack is used as it is, not
+    copied; no round writes to it."""
     if len(weights) < 1:
         raise ValueError("need at least one agent")
     if graph is None:
@@ -109,7 +110,7 @@ def _stack_weights(
         raise ValueError(f"graph has {graph.n} agents, got {len(weights)} vectors")
     if len({np.shape(w) for w in weights}) != 1:
         raise ValueError("all agents must share one parameter shape")
-    stacked = np.array(weights, dtype=float)
+    stacked = np.asarray(weights, dtype=float)
     if stacked.ndim != 2:
         raise ValueError("each agent's weights must be one vector")
     return stacked, graph

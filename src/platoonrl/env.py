@@ -192,7 +192,8 @@ class VehicleLogRow:
 class PlatoonEnv:
     """N-vehicle platoon simulator with per-agent observations and rewards.
 
-    The platoon state is one set of (n_vehicles,) arrays, front to back.
+    The platoon state is one (len(LOG_FIELDS), n_vehicles) array, vehicles
+    front to back, that each step overwrites.
     Agents are the vehicles from index n_vehicles - n_agents on, so a
     replayed leader is the one vehicle that is not an agent.
 
@@ -235,9 +236,8 @@ class PlatoonEnv:
         self._agent_index = np.arange(self.n_agents)
         # The car-following law with one row per action's gain pair.
         self._gain_table = replace(self.ovm, alpha=_GAINS[:, :1], beta=_GAINS[:, 1:])
-        self._state: VehicleState | None = None
-        self._power: np.ndarray | None = None
-        self._rewards: np.ndarray | None = None
+        # The platoon: one row per LOG_FIELDS entry, one column per vehicle.
+        self._values: np.ndarray | None = None
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
         self._v_ahead: np.ndarray | None = None
@@ -262,10 +262,9 @@ class PlatoonEnv:
         return self._done
 
     def vehicle_values(self) -> np.ndarray:
-        """(len(LOG_FIELDS), n_vehicles) array of the most recent step's (or
+        """(len(LOG_FIELDS), n_vehicles) copy of the most recent step's (or
         reset's) per-vehicle values."""
-        s = self._state
-        return np.array([s.spacing_m, s.velocity_mps, s.accel_mps2, self._power, self._rewards])
+        return self._values.copy()
 
     def vehicle_log_rows(self) -> list[VehicleLogRow]:
         """Per-vehicle values of the most recent step (or of reset)."""
@@ -298,7 +297,7 @@ class PlatoonEnv:
 
     def _agent_ahead_velocity(self) -> np.ndarray:
         """Each agent's predecessor velocity at the current step."""
-        v = self._state.velocity_mps
+        v = self._values[1]
         lead = self._leader_velocity(self._step_idx)
         return np.concatenate(([lead], v[:-1]))[self._first :]
 
@@ -315,9 +314,9 @@ class PlatoonEnv:
             velocity[0] = self._profile[0]
             spacing[0] = math.nan
         accel = np.zeros(cfg.n_vehicles)
-        self._state = VehicleState(spacing, velocity, accel)
-        self._power = electric_power(self.vehicle, velocity, accel)
-        self._rewards = np.full(cfg.n_vehicles, math.nan)
+        power = electric_power(self.vehicle, velocity, accel)
+        rewards = np.full(cfg.n_vehicles, math.nan)
+        self._values = np.array([spacing, velocity, accel, power, rewards])
         self._v0 = velocity.copy()
         self._fingerprints = np.full((self.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
         self._step_idx = 0
@@ -326,9 +325,9 @@ class PlatoonEnv:
 
     def _observations(self) -> np.ndarray:
         cfg = self.cfg
-        s = self._state
         a = self._first
-        d, v, v0 = s.spacing_m[a:], s.velocity_mps[a:], self._v0[a:]
+        values = self._values
+        d, v, u, v0 = values[0, a:], values[1, a:], values[2, a:], self._v0[a:]
         # Kept for the next step's car-following law.
         self._v_ahead = self._agent_ahead_velocity()
         dv = self._v_ahead - v
@@ -339,7 +338,7 @@ class PlatoonEnv:
         own[:, 1] = np.minimum(np.maximum(dv / 5.0, -2.0), 2.0)
         own[:, 2] = np.minimum(np.maximum((v_head - v) / 5.0, -2.0), 2.0)
         own[:, 3] = (d + dv * cfg.dt - cfg.d_star) / cfg.d_star
-        own[:, 4] = s.accel_mps2[a:] / U_MAX
+        own[:, 4] = u / U_MAX
         o, f = _OWN_DIM, 3 * _OWN_DIM
         obs[1:, o : 2 * o] = own[:-1]
         obs[:-1, 2 * o : f] = own[1:]
@@ -375,34 +374,30 @@ class PlatoonEnv:
         k = self._step_idx
         dt = cfg.dt
         a = self._first
-        s = self._state
-        agents = VehicleState(s.spacing_m[a:], s.velocity_mps[a:], s.accel_mps2[a:])
+        values = self._values
+        # The agents' spacing, velocity and acceleration rows: views, so the
+        # step's writes below show through them.
+        d, v, u = values[0, a:], values[1, a:], values[2, a:]
         v_ahead = self._v_ahead
         # Gain-law accelerations from the pre-step snapshot: the law under
         # every gain pair at once, then each agent's row.
-        u_all = ovm_accel(self._gain_table, agents.spacing_m, agents.velocity_mps, v_ahead)
+        u_all = ovm_accel(self._gain_table, d, v, v_ahead)
         u_cmd = u_all[np.asarray(actions, dtype=np.intp), self._agent_index]
         # The first agent follows the virtual car or the replayed leader,
         # whose motion over the step comes from the target or the trace.
         lead_v_next = self._leader_velocity(k + 1)
         lead_u = (lead_v_next - v_ahead[0]) / dt
-        moved = step_kinematics(agents, v_ahead[0], lead_u, u_cmd, dt)
+        moved = step_kinematics(VehicleState(d, v, u), v_ahead[0], lead_u, u_cmd, dt)
+        values[:3, a:] = moved.spacing_m, moved.velocity_mps, moved.accel_mps2
         if a:
-            moved = VehicleState(
-                np.concatenate(([math.nan], moved.spacing_m)),
-                np.concatenate(([lead_v_next], moved.velocity_mps)),
-                np.concatenate(([lead_u], moved.accel_mps2)),
-            )
-        self._state = moved
+            values[1:3, 0] = lead_v_next, lead_u
         self._step_idx = k + 1
-        self._power = electric_power(self.vehicle, moved.velocity_mps, moved.accel_mps2)
+        values[3] = electric_power(self.vehicle, values[1], values[2])
 
-        d, v, u = moved.spacing_m[a:], moved.velocity_mps[a:], moved.accel_mps2[a:]
-        power = self._power[a:]
         crashed = d <= MIN_SPACING
-        rewards = compute_reward(self.reward, d, v, u, power, cfg.d_star, cfg.v_star)
+        rewards = compute_reward(self.reward, d, v, u, values[3, a:], cfg.d_star, cfg.v_star)
         rewards = rewards - self.reward.collision_penalty * crashed
-        self._rewards[a:] = rewards
+        values[4, a:] = rewards
         collision = bool(crashed.any())
         done = collision or self._step_idx >= cfg.episode_steps
         self._done = done

@@ -30,7 +30,7 @@ from .env import (
     ScenarioConfig,
     obs_dim_for,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .files import write_csv
 from .ovm import OvmParams
 from .vehicle import MIN_SPACING, VehicleParams
@@ -332,17 +332,41 @@ def train(
     return TrainResult(nets=nets, log=log, comm_bits=comm_bits)
 
 
+# Agent i's checkpoint file in a checkpoint directory.
+CHECKPOINT_NAME = "agent{}.npz"
+
+
 def _save_checkpoints(nets: list[nn.AgentNet], directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, net in enumerate(nets):
-        nn.save_params(net, directory / f"agent{i}.npz")
+        nn.save_params(net, directory / CHECKPOINT_NAME.format(i))
 
 
 def load_checkpoints(directory: str | Path, n_agents: int) -> list[nn.AgentNet]:
-    """Load agent{i}.npz for i in 0..n_agents-1 as written by train()."""
+    """Load the n_agents checkpoints that _save_checkpoints writes, as
+    networks that stack. Raises ConfigError when the directory holds another
+    number of agent checkpoints, and DataError when a checkpoint's action
+    count is not N_ACTIONS or its hidden width differs from agent 0's."""
     directory = Path(directory)
-    return [nn.load_params(directory / f"agent{i}.npz") for i in range(n_agents)]
+    found = len(list(directory.glob(CHECKPOINT_NAME.format("*"))))
+    if found != n_agents:
+        raise ConfigError(
+            f"{directory} holds {found} agent checkpoints, but the scenario has {n_agents} agents"
+        )
+    nets: list[nn.AgentNet] = []
+    for i in range(n_agents):
+        path = directory / CHECKPOINT_NAME.format(i)
+        net = nn.load_params(path)
+        if net.n_actions != N_ACTIONS:
+            raise DataError(f"{path} has {net.n_actions} actions, the action set {N_ACTIONS}")
+        if nets and net.hidden_dim != nets[0].hidden_dim:
+            raise DataError(
+                f"{path} has hidden_dim {net.hidden_dim}, "
+                f"{CHECKPOINT_NAME.format(0)} {nets[0].hidden_dim}"
+            )
+        nets.append(net)
+    return nets
 
 
 def _cells(row: LogRow | EvalRow) -> list[object]:

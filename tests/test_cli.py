@@ -53,6 +53,32 @@ class TestExitCodes:
         assert err.startswith("error: ovm.alpha: ") and err.count("\n") == 1
         assert "ACTION_GAINS" in err
 
+    def test_mistyped_config_field_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typed.yaml"
+        cfg.write_text(
+            "scenario: {n_vehicles: 4.5, episode_steps: 40}\n"
+            "train: {total_steps: 40, eval_seeds: 1}\n"
+        )
+        code = run_cli("train", "--config", str(cfg), "--output-dir", str(tmp_path / "t"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: scenario.n_vehicles: expected an integer, got 4.5\n"
+
+    @pytest.mark.parametrize("missing", ["--trace", "--window"])
+    def test_replay_requires_trace_and_window(
+        self, missing, tiny_config, trace_20s, tmp_path, capsys
+    ):
+        flags = {"--trace": str(trace_20s), "--window": "0:5"}
+        del flags[missing]
+        code = run_cli(
+            "replay", "--config", str(tiny_config), "--output-dir", str(tmp_path / "m"),
+            *(x for pair in flags.items() for x in pair),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert missing in err
+
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli(
             "fit-energy", "--grid", "fine", "--output-dir", str(tmp_path)
@@ -283,6 +309,49 @@ class TestReplayCli:
             ) == 0
             logs.append((tmp_path / sub / "replay_log.csv").read_bytes())
         assert logs[0] == logs[1]
+
+    @pytest.mark.parametrize("defect, code", [("one agent short", 1), ("non-finite", 2)])
+    def test_failed_replay_writes_nothing(self, defect, code, tiny_config, trace_20s, tmp_path):
+        # Three vehicles behind a replayed leader: two agents. The directory
+        # holds one checkpoint, or two of which one has a nan parameter.
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        rng = np.random.default_rng(0)
+        n_saved = 1 if defect == "one agent short" else 2
+        nets = [init_agent_net(15, 8, rng=rng) for _ in range(n_saved)]
+        if defect == "non-finite":
+            nets[1].params[0] = np.nan
+        for i, net in enumerate(nets):
+            save_params(net, ckpt / f"agent{i}.npz")
+        out = tmp_path / "rp"
+        assert run_cli(
+            "replay", "--config", str(tiny_config), "--n-vehicles", "3",
+            "--trace", str(trace_20s), "--window", "0:10",
+            "--checkpoint-dir", str(ckpt), "--output-dir", str(out),
+        ) == code
+        assert not (out / "leader_profile.csv").exists()
+        assert list(out.glob("*")) == []
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, flags", [
+        ("fit-energy", ["--output-dir", "--seed", "--grid"]),
+        ("train", ["--config", "--protocol", "--steps", "--n-vehicles", "--obs-mode",
+                   "--trace", "--window", "--leader-col"]),
+        ("eval", ["--config", "--n-vehicles", "--obs-mode", "--checkpoint-dir",
+                  "--trace", "--window", "--leader-col"]),
+        ("replay", ["--config", "--n-vehicles", "--obs-mode", "--checkpoint-dir",
+                    "--trace", "--window", "--leader-col"]),
+        ("consensus-bench", ["--config", "--protocol", "--rounds", "--n-vehicles"]),
+        ("sweep-size", ["--config", "--protocol", "--steps", "--obs-mode"]),
+    ])
+    def test_help_lists_the_flags(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in flags:
+            assert f"{flag} " in out, flag
 
 
 class TestConsensusBenchCli:

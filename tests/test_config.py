@@ -152,3 +152,29 @@ class TestActionGains:
         assert set(config_to_dict(RunConfig())["ovm"]) == {"d_stop", "d_go", "v_max"}
         assert "alpha" not in path.read_text() and "beta" not in path.read_text()
         assert load_config(path) == RunConfig()
+
+
+class TestFieldTypes:
+    """Each field takes its declared type; the error names the field path."""
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"scenario": {"n_vehicles": 4.5}}, r"scenario\.n_vehicles: expected an integer"),
+        ({"scenario": {"episode_steps": 20.5}}, r"scenario\.episode_steps: expected an integer"),
+        ({"train": {"eval_seeds": 2.5}}, r"train\.eval_seeds: expected an integer"),
+        ({"train": {"consensus": {"period": 1.5}}},
+         r"train\.consensus\.period: expected an integer"),
+        ({"scenario": {"n_vehicles": True}}, r"scenario\.n_vehicles: expected an integer"),
+        ({"scenario": {"d_star": float("inf")}}, r"scenario\.d_star: expected a finite number"),
+        ({"reward": {"w_power": float("nan")}}, r"reward\.w_power: expected a finite number"),
+        ({"scenario": {"perturbation": {"depth": True}}},
+         r"scenario\.perturbation\.depth: expected a finite number"),
+        ({"train": {"normalize_advantages": 1}},
+         r"train\.normalize_advantages: expected true or false"),
+        ({"seeds": [True]}, "seeds must be non-negative integers"),
+    ])
+    def test_wrong_type_is_rejected(self, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+    def test_int_value_for_float_field(self):
+        assert config_from_dict({"scenario": {"d_star": 25}}).scenario.d_star == 25

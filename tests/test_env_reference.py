@@ -43,7 +43,7 @@ def step_both(n, profile, spacing, velocity, accel, v0, fingerprints, k, actions
         velocity[0] = profile[min(k, profile.size - 1)]
     env = PlatoonEnv(cfg, leader_profile=profile)
     env.reset(seed=0)
-    env._state = VehicleState(spacing, velocity, np.array(accel, dtype=float))
+    env._values[:3] = spacing, velocity, np.array(accel, dtype=float)
     env._v0 = np.array(v0, dtype=float)
     env._fingerprints = np.array(fingerprints, dtype=float)
     env._step_idx = k
