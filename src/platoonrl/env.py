@@ -16,14 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ovm import OvmParams, headway_velocity, ovm_accel
-from .vehicle import (
-    MIN_SPACING,
-    U_MAX,
-    VehicleParams,
-    VehicleState,
-    electric_power,
-    step_kinematics,
-)
+from .vehicle import MIN_SPACING, U_MAX, VehicleParams, electric_power, step_kinematics
 
 # Discrete action set: (alpha, beta) gain pairs for the car-following law.
 ACTION_GAINS: tuple[tuple[float, float], ...] = (
@@ -162,18 +155,37 @@ def compute_reward(
     )
 
 
+def _virtual_target(cfg: ScenarioConfig) -> np.ndarray:
+    """The virtual car's velocity at each step index 0..episode_steps:
+    v_star, with the perturbation's linear dip down to depth * v_star and
+    back over [start_s, start_s + duration_s)."""
+    v_star = cfg.v_star
+    target = np.full(cfg.episode_steps + 1, v_star)
+    pert = cfg.perturbation
+    if pert is None:
+        return target
+    t_rel = np.arange(cfg.episode_steps + 1) * cfg.dt - pert.start_s
+    floor = pert.depth * v_star
+    half = pert.duration_s / 2.0
+    down = v_star + (floor - v_star) * (t_rel / half)
+    up = floor + (v_star - floor) * ((t_rel - half) / half)
+    dip = (t_rel >= 0.0) & (t_rel < pert.duration_s)
+    return np.where(dip, np.where(t_rel < half, down, up), target)
+
+
 @dataclass(frozen=True)
 class StepOutcome:
     """Result of one synchronous platoon step. observations is the
     (n_agents, obs_dim_for("fprint")) array of the next observations; the
-    ia2c observation is its first obs_dim_for("ia2c") columns. done is set
-    on collision or when the step budget is exhausted; vehicle_values()
-    holds the step's per-vehicle values."""
+    ia2c observation is its first obs_dim_for("ia2c") columns. collisions
+    counts the agents whose gap closed to MIN_SPACING; done is set on any
+    collision or when the step budget is exhausted; vehicle_values() holds
+    the step's per-vehicle values."""
 
     observations: np.ndarray
     rewards: np.ndarray
     done: bool
-    collision: bool
+    collisions: int
 
 
 @dataclass
@@ -194,8 +206,9 @@ class PlatoonEnv:
 
     The platoon state is one (len(LOG_FIELDS), n_vehicles) array, vehicles
     front to back, that each step overwrites.
-    Agents are the vehicles from index n_vehicles - n_agents on, so a
-    replayed leader is the one vehicle that is not an agent.
+    Agents are the vehicles in the `agents` slice, so a replayed leader is
+    the one vehicle that is not an agent. Vehicle 0 follows one leader
+    sequence, the velocity of the virtual car or the trace at each step.
 
     Observation rows hold, per agent: own [v_hat, v_diff_hat, v_headway_hat,
     d_hat, u_hat]; the front and rear neighbor agents' own 5-vectors (zeros
@@ -223,16 +236,15 @@ class PlatoonEnv:
         if cfg.leader_mode == "trace-replay":
             if leader_profile is None:
                 raise ConfigError("trace-replay mode requires a leader profile")
-            profile = np.asarray(leader_profile, dtype=float)
-            if profile.ndim != 1 or profile.size < 2:
+            self._leader = np.asarray(leader_profile, dtype=float)
+            if self._leader.ndim != 1 or self._leader.size < 2:
                 raise ConfigError("leader profile must be a 1-D array, length >= 2")
-            if not np.all(np.isfinite(profile)):
+            if not np.all(np.isfinite(self._leader)):
                 raise ConfigError("leader profile must be finite")
-            self._profile = profile
         else:
-            self._profile = None
-        # First agent vehicle: 1 behind a replayed leader, else 0.
-        self._first = 0 if self._profile is None else 1
+            self._leader = _virtual_target(cfg)
+        # The agent vehicles: all but a replayed leader.
+        self.agents = slice(1 if cfg.leader_mode == "trace-replay" else 0, None)
         self._agent_index = np.arange(self.n_agents)
         # The car-following law with one row per action's gain pair.
         self._gain_table = replace(self.ovm, alpha=_GAINS[:, :1], beta=_GAINS[:, 1:])
@@ -249,17 +261,8 @@ class PlatoonEnv:
         return self.cfg.n_vehicles
 
     @property
-    def agent_vehicles(self) -> tuple[int, ...]:
-        """Vehicle indices that are learning agents."""
-        return tuple(range(self._first, self.cfg.n_vehicles))
-
-    @property
     def n_agents(self) -> int:
-        return self.cfg.n_vehicles - self._first
-
-    @property
-    def done(self) -> bool:
-        return self._done
+        return self.cfg.n_vehicles - self.agents.start
 
     def vehicle_values(self) -> np.ndarray:
         """(len(LOG_FIELDS), n_vehicles) copy of the most recent step's (or
@@ -273,33 +276,16 @@ class PlatoonEnv:
             for i, values in enumerate(self.vehicle_values().T.tolist())
         ]
 
-    def _target_velocity(self, t_s: float) -> float:
-        """Virtual leader target velocity at time t_s."""
-        v_star = self.cfg.v_star
-        pert = self.cfg.perturbation
-        if pert is None:
-            return v_star
-        t_rel = t_s - pert.start_s
-        if t_rel < 0.0 or t_rel >= pert.duration_s:
-            return v_star
-        floor = pert.depth * v_star
-        half = pert.duration_s / 2.0
-        if t_rel < half:
-            return v_star + (floor - v_star) * (t_rel / half)
-        return floor + (v_star - floor) * ((t_rel - half) / half)
-
     def _leader_velocity(self, k: int) -> float:
-        """Velocity of vehicle 0's predecessor (virtual car or trace) at
-        step index k."""
-        if self._profile is not None:
-            return float(self._profile[min(k, self._profile.size - 1)])
-        return self._target_velocity(k * self.cfg.dt)
+        """Velocity of vehicle 0's predecessor at step index k; the trace
+        holds its last sample past its end."""
+        return float(self._leader[min(k, self._leader.size - 1)])
 
     def _agent_ahead_velocity(self) -> np.ndarray:
         """Each agent's predecessor velocity at the current step."""
         v = self._values[1]
         lead = self._leader_velocity(self._step_idx)
-        return np.concatenate(([lead], v[:-1]))[self._first :]
+        return np.concatenate(([lead], v[:-1]))[self.agents]
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         cfg = self.cfg
@@ -310,8 +296,8 @@ class PlatoonEnv:
         velocity = cfg.v_star * (
             1.0 + rng.uniform(-cfg.init_velocity_jitter, cfg.init_velocity_jitter, cfg.n_vehicles)
         )
-        if self._profile is not None:
-            velocity[0] = self._profile[0]
+        if self.agents.start:
+            velocity[0] = self._leader[0]
             spacing[0] = math.nan
         accel = np.zeros(cfg.n_vehicles)
         power = electric_power(self.vehicle, velocity, accel)
@@ -325,9 +311,9 @@ class PlatoonEnv:
 
     def _observations(self) -> np.ndarray:
         cfg = self.cfg
-        a = self._first
+        a = self.agents
         values = self._values
-        d, v, u, v0 = values[0, a:], values[1, a:], values[2, a:], self._v0[a:]
+        d, v, u, v0 = values[0, a], values[1, a], values[2, a], self._v0[a]
         # Kept for the next step's car-following law.
         self._v_ahead = self._agent_ahead_velocity()
         dv = self._v_ahead - v
@@ -373,37 +359,35 @@ class PlatoonEnv:
 
         k = self._step_idx
         dt = cfg.dt
-        a = self._first
+        a = self.agents
         values = self._values
         # The agents' spacing, velocity and acceleration rows: views, so the
         # step's writes below show through them.
-        d, v, u = values[0, a:], values[1, a:], values[2, a:]
+        d, v, u = values[0, a], values[1, a], values[2, a]
         v_ahead = self._v_ahead
         # Gain-law accelerations from the pre-step snapshot: the law under
         # every gain pair at once, then each agent's row.
         u_all = ovm_accel(self._gain_table, d, v, v_ahead)
         u_cmd = u_all[np.asarray(actions, dtype=np.intp), self._agent_index]
         # The first agent follows the virtual car or the replayed leader,
-        # whose motion over the step comes from the target or the trace.
+        # whose motion over the step comes from the leader sequence.
         lead_v_next = self._leader_velocity(k + 1)
         lead_u = (lead_v_next - v_ahead[0]) / dt
-        moved = step_kinematics(VehicleState(d, v, u), v_ahead[0], lead_u, u_cmd, dt)
-        values[:3, a:] = moved.spacing_m, moved.velocity_mps, moved.accel_mps2
-        if a:
+        values[:3, a] = step_kinematics(d, v, v_ahead[0], lead_u, u_cmd, dt)
+        if a.start:
             values[1:3, 0] = lead_v_next, lead_u
         self._step_idx = k + 1
         values[3] = electric_power(self.vehicle, values[1], values[2])
 
         crashed = d <= MIN_SPACING
-        rewards = compute_reward(self.reward, d, v, u, values[3, a:], cfg.d_star, cfg.v_star)
+        rewards = compute_reward(self.reward, d, v, u, values[3, a], cfg.d_star, cfg.v_star)
         rewards = rewards - self.reward.collision_penalty * crashed
-        values[4, a:] = rewards
-        collision = bool(crashed.any())
-        done = collision or self._step_idx >= cfg.episode_steps
-        self._done = done
+        values[4, a] = rewards
+        collisions = int(crashed.sum())
+        self._done = collisions > 0 or self._step_idx >= cfg.episode_steps
         return StepOutcome(
             observations=self._observations(),
             rewards=rewards,
-            done=done,
-            collision=collision,
+            done=self._done,
+            collisions=collisions,
         )

@@ -33,7 +33,7 @@ from .env import (
 from .errors import ConfigError, DataError
 from .files import write_csv
 from .ovm import OvmParams
-from .vehicle import MIN_SPACING, VehicleParams
+from .vehicle import VehicleParams
 
 
 # How far a policy's sum may be from 1, as rng.choice allows.
@@ -181,15 +181,13 @@ def rollout(
         if outcome.done:
             break
         obs = outcome.observations
-    agents = slice(env.n_vehicles - n_agents, None)
-    collisions = int(np.sum(log[0, t, agents] <= MIN_SPACING)) if outcome.collision else 0
     log = log[:, : t + 1]
     return Episode(
         actions=actions[: t + 1],
         values=values[: t + 1],
-        rewards=log[LOG_FIELDS.index("reward"), :, agents],
+        rewards=log[LOG_FIELDS.index("reward"), :, env.agents],
         tape=None if tape is None else nn.ForwardRecord(*(a[: t + 1] for a in tape)),
-        collisions=collisions,
+        collisions=outcome.collisions,
         log=log,
     )
 
@@ -347,7 +345,8 @@ def load_checkpoints(directory: str | Path, n_agents: int) -> list[nn.AgentNet]:
     """Load the n_agents checkpoints that _save_checkpoints writes, as
     networks that stack. Raises ConfigError when the directory holds another
     number of agent checkpoints, and DataError when a checkpoint's action
-    count is not N_ACTIONS or its hidden width differs from agent 0's."""
+    count is not N_ACTIONS, its hidden width differs from agent 0's, or a
+    parameter is not finite."""
     directory = Path(directory)
     found = len(list(directory.glob(CHECKPOINT_NAME.format("*"))))
     if found != n_agents:
@@ -358,6 +357,8 @@ def load_checkpoints(directory: str | Path, n_agents: int) -> list[nn.AgentNet]:
     for i in range(n_agents):
         path = directory / CHECKPOINT_NAME.format(i)
         net = nn.load_params(path)
+        if not np.isfinite(net.params).all():
+            raise DataError(f"{path} holds non-finite parameters")
         if net.n_actions != N_ACTIONS:
             raise DataError(f"{path} has {net.n_actions} actions, the action set {N_ACTIONS}")
         if nets and net.hidden_dim != nets[0].hidden_dim:
@@ -430,8 +431,7 @@ def episode_row(env: PlatoonEnv, seed: int, collisions: int, log: np.ndarray) ->
     """Statistics of one rollout from its vehicle log. Platoon power and
     energy sum over all simulated vehicles; spacing/velocity/|accel|
     statistics cover the agents."""
-    agents = slice(env.n_vehicles - env.n_agents, None)
-    spacing, velocity, accel = (x[:, agents].ravel() for x in log[:3])
+    spacing, velocity, accel = (x[:, env.agents].ravel() for x in log[:3])
     power = log[3]
     return EvalRow(
         seed=seed,
@@ -527,6 +527,8 @@ def consensus_bench(
     """Mixing-protocol bench on random vectors over the line graph: rows of
     (round, protocol, spread, cumulative bits) where spread is the largest
     across-agent max-min gap over components. Round 0 is the initial state."""
+    if rounds < 0:
+        raise ConfigError("consensus_bench requires rounds >= 0")
     out = []
     for protocol in protocols:
         rng = np.random.default_rng(seed)

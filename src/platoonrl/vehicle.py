@@ -63,21 +63,6 @@ class VehicleParams:
             raise ValueError("VehicleParams.drivetrain_eff must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class VehicleState:
-    """Kinematic state of one platoon member, or of a whole platoon as
-    (n,) arrays ordered front to back.
-
-    spacing_m: bumper gap to the preceding vehicle.
-    velocity_mps: own longitudinal velocity, clipped to [V_MIN, V_MAX].
-    accel_mps2: acceleration applied over the last step, clipped to [U_MIN, U_MAX].
-    """
-
-    spacing_m: float | np.ndarray
-    velocity_mps: float | np.ndarray
-    accel_mps2: float | np.ndarray
-
-
 def _require_finite(name: str, *values) -> None:
     """Raise ValueError unless every element of every value is finite."""
     for x in values:
@@ -104,17 +89,22 @@ def _travel(v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.nda
 
 
 def step_kinematics(
-    state: VehicleState,
+    d: float | np.ndarray,
+    v: float | np.ndarray,
     v_prev: float,
     u_prev: float,
     u_cmd: float | np.ndarray,
     dt: float,
-) -> VehicleState:
-    """Advance one vehicle, or a platoon of them, by dt.
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
+    """Advance one vehicle, or a platoon of them, by dt: returns the new
+    (spacing, velocity, applied acceleration), floats for float inputs or
+    arrays shaped like d.
 
-    (v_prev, u_prev) is the motion of the first vehicle's predecessor over
-    the step. In a platoon state every later vehicle follows the one ahead
-    of it, at that vehicle's realized average acceleration (v' - v) / dt.
+    d is the bumper gap to the predecessor and v the own velocity; for a
+    platoon both are (n,) arrays ordered front to back. (v_prev, u_prev) is
+    the motion of the first vehicle's predecessor over the step. In a
+    platoon every later vehicle follows the one ahead of it, at that
+    vehicle's realized average acceleration (v' - v) / dt.
     The commanded acceleration is clipped to the actuation box, own velocity
     to [V_MIN, V_MAX]. Spacing integrates both trajectories exactly under
     piecewise-constant acceleration:
@@ -125,8 +115,8 @@ def step_kinematics(
     (velocity held at the bound for the clipped portion of the step). The
     predecessor term is exact unless the predecessor's own clip binds.
     """
-    d = np.asarray(state.spacing_m, dtype=float)
-    v = np.asarray(state.velocity_mps, dtype=float)
+    d = np.asarray(d, dtype=float)
+    v = np.asarray(v, dtype=float)
     u_cmd = np.asarray(u_cmd, dtype=float)
     _require_finite("step_kinematics", d, v, u_cmd, v_prev, u_prev, dt)
     if dt <= 0.0:
@@ -137,11 +127,7 @@ def step_kinematics(
     v_ahead = np.concatenate(([v_prev], v_flat[:-1]))
     u_ahead = np.concatenate(([u_prev], (v_new_flat[:-1] - v_flat[:-1]) / dt))
     dist_prev = (v_ahead * dt + 0.5 * u_ahead * dt * dt).reshape(v.shape)
-    return VehicleState(
-        spacing_m=(d + dist_prev - dist_self)[()],
-        velocity_mps=v_new[()],
-        accel_mps2=u[()],
-    )
+    return (d + dist_prev - dist_self)[()], v_new[()], u[()]
 
 
 def driving_force(

@@ -25,11 +25,19 @@ from platoonrl.vehicle import (
     V_MAX,
     V_MIN,
     VehicleParams,
-    VehicleState,
     electric_power,
 )
 
 _OWN_DIM = 5
+
+
+@dataclass(frozen=True)
+class VehicleState:
+    """Kinematic state of one platoon member."""
+
+    spacing_m: float
+    velocity_mps: float
+    accel_mps2: float
 
 
 def travel(v: float, u: float, dt: float) -> tuple[float, float]:
@@ -115,7 +123,7 @@ class StepResult:
     observations: np.ndarray  # (n_agents, 23)
     rewards: np.ndarray
     done: bool
-    collision: bool
+    collisions: int
     states: list[VehicleState]
     power_kw: np.ndarray  # per vehicle
 
@@ -262,7 +270,7 @@ class ReferenceEnv:
             [electric_power(self.vehicle, s.velocity_mps, s.accel_mps2) for s in new_states]
         )
         rewards = np.empty(len(agents))
-        collision = False
+        collisions = 0
         for a, i in enumerate(agents):
             s = new_states[i]
             r = compute_reward(
@@ -270,15 +278,15 @@ class ReferenceEnv:
                 float(power_all[i]), cfg.d_star, cfg.v_star,
             )
             if s.spacing_m <= MIN_SPACING:
-                collision = True
+                collisions += 1
                 r -= self.reward.collision_penalty
             rewards[a] = r
-        done = collision or self._step_idx >= cfg.episode_steps
+        done = collisions > 0 or self._step_idx >= cfg.episode_steps
         return StepResult(
             observations=self.observations(),
             rewards=rewards,
             done=done,
-            collision=collision,
+            collisions=collisions,
             states=new_states,
             power_kw=power_all,
         )

@@ -214,7 +214,7 @@ class TestEvalCli:
         assert "agent1.npz" in err
 
     def test_non_finite_checkpoint_is_runtime_error(self, tiny_config, tmp_path, capsys):
-        # load_params keeps non-finite values; the first forward pass rejects them
+        # load_params keeps non-finite values; load_checkpoints rejects them
         assert run_cli("train", "--config", str(tiny_config)) == 0
         path = tmp_path / "runs" / "checkpoints" / "seed0" / "agent1.npz"
         with np.load(path) as data:
@@ -226,6 +226,7 @@ class TestEvalCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite" in err
+        assert "agent1.npz" in err
 
     def test_agent_count_mismatch_is_config_error(self, tiny_config, capsys):
         assert run_cli("train", "--config", str(tiny_config), "--n-vehicles", "3") == 0
@@ -374,6 +375,17 @@ class TestConsensusBenchCli:
         lines = (tmp_path / "cb1" / "consensus_bench.csv").read_text().splitlines()
         assert len(lines) == 7
         assert all(line.split(",")[1] == "wac" for line in lines[1:])
+
+    def test_negative_rounds_is_config_error(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "cb2"
+        assert run_cli(
+            "consensus-bench", "--config", str(tiny_config),
+            "--rounds", "-3", "--output-dir", str(out),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "rounds" in err
+        assert not (out / "consensus_bench.csv").exists()
 
 
 class TestSweepSizeCli:

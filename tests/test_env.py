@@ -172,7 +172,7 @@ class TestStep:
             assert np.all(velocity == 15.0)
             for r in out.rewards:
                 assert r == pytest.approx(EQ_REWARD, abs=1e-6)
-        assert out.done and not out.collision
+        assert out.done and out.collisions == 0
 
     def test_all_gain_pairs_hold_the_set_point(self):
         for action in range(N_ACTIONS):
@@ -217,7 +217,7 @@ class TestStep:
         cfg = quiet_scenario(n_vehicles=2, leader_mode="trace-replay", episode_steps=8)
         env = PlatoonEnv(cfg, leader_profile=profile)
         env.reset()
-        assert env.agent_vehicles == (1,)
+        assert env.agents == slice(1, None)
         seen_v, seen_u = [], []
         for _ in range(6):
             env.step([0])
@@ -242,11 +242,11 @@ class TestStep:
         env.reset()
         for k in range(99):
             out = env.step([0])
-            if out.collision:
+            if out.collisions:
                 break
-        assert out.collision and out.done
+        assert out.collisions == 1 and out.done
         assert out.rewards[0] < -1000.0
-        assert env.vehicle_values()[0, env.agent_vehicles[0]] <= 1.0
+        assert env.vehicle_values()[0, env.agents][0] <= 1.0
         with pytest.raises(RuntimeError):
             env.step([0])
 

@@ -1,9 +1,9 @@
 """The array-shaped PlatoonEnv against the per-vehicle reference step.
 
 From the same state, one step of each must give bit-equal observations,
-spacing, velocity, acceleration, power, done and collision flags. Rewards
-may differ in the last bits: the reference squares with ``x ** 2`` (libm
-``pow``), the environment by multiplication.
+spacing, velocity, acceleration, power, done flags and collision counts.
+Rewards may differ in the last bits: the reference squares with ``x ** 2``
+(libm ``pow``), the environment by multiplication.
 """
 
 import math
@@ -15,26 +15,30 @@ from hypothesis import strategies as st
 
 from platoonrl.env import N_ACTIONS, Perturbation, PlatoonEnv, ScenarioConfig
 from platoonrl.ovm import OvmParams, headway_velocity, ovm_accel
-from platoonrl.vehicle import VehicleState, step_kinematics
+from platoonrl.vehicle import step_kinematics
 
 import reference_env as ref_mod
 from reference_env import ReferenceEnv
 
 EPISODE_STEPS = 600
+DIP = Perturbation(start_s=2.0, depth=0.5, duration_s=4.0)
 
 
-def scenario(n: int, replay: bool) -> ScenarioConfig:
+def scenario(n: int, replay: bool, perturbation: Perturbation | None = DIP) -> ScenarioConfig:
     return ScenarioConfig(
         n_vehicles=n,
         episode_steps=EPISODE_STEPS,
         leader_mode="trace-replay" if replay else "virtual-target",
-        perturbation=Perturbation(start_s=2.0, depth=0.5, duration_s=4.0),
+        perturbation=perturbation,
     )
 
 
-def step_both(n, profile, spacing, velocity, accel, v0, fingerprints, k, actions, step_fps):
+def step_both(
+    n, profile, spacing, velocity, accel, v0, fingerprints, k, actions, step_fps,
+    perturbation=DIP,
+):
     """Put both environments in one state, step each once, compare."""
-    cfg = scenario(n, profile is not None)
+    cfg = scenario(n, profile is not None, perturbation)
     spacing = np.array(spacing, dtype=float)
     velocity = np.array(velocity, dtype=float)
     if profile is not None:
@@ -61,7 +65,7 @@ def step_both(n, profile, spacing, velocity, accel, v0, fingerprints, k, actions
         assert np.array_equal(got[row], expected, equal_nan=True), field
     assert np.array_equal(got[3], want.power_kw)
     assert out.done == want.done
-    assert out.collision == want.collision
+    assert out.collisions == want.collisions
     np.testing.assert_allclose(out.rewards, want.rewards, rtol=1e-12, atol=1e-12)
     return out, got
 
@@ -129,7 +133,7 @@ def test_upper_velocity_clip_behind_fast_leader():
         [15.0] * 3, uniform(2), 0, [3, 0], None,
     )
     assert got[1][1] == 30.0 and got[1][2] == 0.0
-    assert not out.collision
+    assert not out.collisions
 
 
 def test_zero_command_coasts():
@@ -147,7 +151,7 @@ def test_collision_in_replay_mode_with_fingerprints():
         4, np.array([5.0, 0.0, 0.0]), [0.0, 1.02, 20.0, 20.0], [0.0, 10.0, 15.0, 15.0],
         [0.0] * 4, [15.0] * 4, uniform(3), 1, [0, 1, 2], fps,
     )
-    assert out.collision and out.done
+    assert out.collisions and out.done
     assert math.isnan(got[0][0]) and math.isnan(got[4][0])
 
 
@@ -155,6 +159,44 @@ def test_collision_in_replay_mode_with_fingerprints():
 def test_perturbation_and_episode_end(k):
     out, _ = step_both(
         4, None, [20.0] * 4, [15.0] * 4, [0.0] * 4, [15.0] * 4, uniform(4), k, [3] * 4, None,
+    )
+    assert out.done == (k == EPISODE_STEPS - 1)
+
+
+# Virtual-target leaders for the leader-sequence cases: none, the default
+# dip, and a dip that is still under way when the episode ends.
+LEADERS = {
+    "none": None,
+    "default": Perturbation(),
+    "past-end": Perturbation(start_s=56.5, depth=0.35, duration_s=6.0),
+}
+
+
+def dip_steps(perturbation):
+    """The steps (dt = 0.1 s) at the dip's start, midpoint and end, each
+    capped at the episode's last step, and the last step itself. With no
+    dip, the default dip's steps."""
+    pert = perturbation or Perturbation()
+    times = (pert.start_s, pert.start_s + pert.duration_s / 2.0, pert.start_s + pert.duration_s)
+    last = EPISODE_STEPS - 1
+    return sorted({*(min(round(t / 0.1), last) for t in times), last})
+
+
+@pytest.mark.parametrize("leader", LEADERS)
+def test_leader_sequence_matches_reference(leader):
+    cfg = scenario(4, False, LEADERS[leader])
+    env, ref = PlatoonEnv(cfg), ReferenceEnv(cfg)
+    for k in range(EPISODE_STEPS + 1):
+        assert env._leader_velocity(k) == ref._leader_velocity(k), k
+
+
+@pytest.mark.parametrize(
+    "leader, k", [(name, k) for name, pert in LEADERS.items() for k in dip_steps(pert)]
+)
+def test_virtual_leader_dip_steps(leader, k):
+    out, _ = step_both(
+        4, None, [20.0] * 4, [15.0] * 4, [0.0] * 4, [15.0] * 4, uniform(4), k, [3] * 4, None,
+        perturbation=LEADERS[leader],
     )
     assert out.done == (k == EPISODE_STEPS - 1)
 
@@ -174,12 +216,14 @@ def test_kinematics_matches_reference(rows, v_prev, u_prev):
     front to back, for raw commands that hit both velocity clips."""
     d, v, u_cmd = (np.array(col) for col in zip(*rows))
     dt = 0.1
-    got = step_kinematics(VehicleState(d, v, np.zeros_like(d)), v_prev, u_prev, u_cmd, dt)
+    spacing, velocity, accel = step_kinematics(d, v, v_prev, u_prev, u_cmd, dt)
     for i in range(len(rows)):
-        want = ref_mod.step_kinematics(VehicleState(d[i], v[i], 0.0), v_prev, u_prev, u_cmd[i], dt)
-        assert got.spacing_m[i] == want.spacing_m
-        assert got.velocity_mps[i] == want.velocity_mps
-        assert got.accel_mps2[i] == want.accel_mps2
+        want = ref_mod.step_kinematics(
+            ref_mod.VehicleState(d[i], v[i], 0.0), v_prev, u_prev, u_cmd[i], dt
+        )
+        assert spacing[i] == want.spacing_m
+        assert velocity[i] == want.velocity_mps
+        assert accel[i] == want.accel_mps2
         v_prev, u_prev = v[i], (want.velocity_mps - v[i]) / dt
 
 

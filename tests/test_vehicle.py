@@ -21,7 +21,6 @@ from platoonrl.vehicle import (
     V_MIN,
     EnergyPoly,
     VehicleParams,
-    VehicleState,
     driving_force,
     electric_power,
     eval_energy_poly,
@@ -85,10 +84,11 @@ class TestElectricPower:
 class TestStepKinematics:
     def test_exact_spacing_integral(self):
         # d' = 20 + (15-14)*0.1 + 0.5*(0-0)*0.01 = 20.1
-        state = VehicleState(spacing_m=20.0, velocity_mps=14.0, accel_mps2=0.0)
-        out = step_kinematics(state, v_prev=15.0, u_prev=0.0, u_cmd=0.0, dt=0.1)
-        assert out.spacing_m == pytest.approx(20.1, abs=1e-12)
-        assert out.velocity_mps == 14.0
+        spacing, velocity, _ = step_kinematics(
+            20.0, 14.0, v_prev=15.0, u_prev=0.0, u_cmd=0.0, dt=0.1
+        )
+        assert spacing == pytest.approx(20.1, abs=1e-12)
+        assert velocity == 14.0
 
     @given(
         d=st.floats(min_value=1.0, max_value=50.0),
@@ -99,12 +99,11 @@ class TestStepKinematics:
     )
     def test_matches_closed_form_when_unclipped(self, d, v, v_prev, u_prev, u):
         dt = 0.1
-        state = VehicleState(spacing_m=d, velocity_mps=v, accel_mps2=0.0)
-        out = step_kinematics(state, v_prev, u_prev, u, dt)
+        spacing, velocity, _ = step_kinematics(d, v, v_prev, u_prev, u, dt)
         if V_MIN <= v + u * dt <= V_MAX:
             expected = d + (v_prev - v) * dt + 0.5 * (u_prev - u) * dt * dt
-            assert out.spacing_m == pytest.approx(expected, abs=1e-12)
-            assert out.velocity_mps == pytest.approx(v + u * dt, abs=1e-12)
+            assert spacing == pytest.approx(expected, abs=1e-12)
+            assert velocity == pytest.approx(v + u * dt, abs=1e-12)
 
     @given(
         v0=st.floats(min_value=0.0, max_value=30.0),
@@ -113,28 +112,28 @@ class TestStepKinematics:
     def test_constraint_box(self, v0, cmds):
         """Velocity and applied acceleration stay inside the box for any
         command sequence, including out-of-range commands."""
-        state = VehicleState(spacing_m=20.0, velocity_mps=v0, accel_mps2=0.0)
+        spacing, velocity = 20.0, v0
         for u_cmd in cmds:
-            state = step_kinematics(state, 15.0, 0.0, u_cmd, 0.1)
-            assert V_MIN <= state.velocity_mps <= V_MAX
-            assert U_MIN <= state.accel_mps2 <= U_MAX
+            spacing, velocity, accel = step_kinematics(spacing, velocity, 15.0, 0.0, u_cmd, 0.1)
+            assert V_MIN <= velocity <= V_MAX
+            assert U_MIN <= accel <= U_MAX
 
     def test_velocity_clip_integrates_consistently(self):
         # From v=29.95 with u=2.5, the bound is hit at t*=0.02 s; the vehicle
         # then holds 30 m/s for the remaining 0.08 s.
-        state = VehicleState(spacing_m=20.0, velocity_mps=29.95, accel_mps2=0.0)
-        out = step_kinematics(state, v_prev=29.95, u_prev=0.0, u_cmd=2.5, dt=0.1)
+        spacing, velocity, _ = step_kinematics(
+            20.0, 29.95, v_prev=29.95, u_prev=0.0, u_cmd=2.5, dt=0.1
+        )
         dist_self = 29.95 * 0.02 + 0.5 * 2.5 * 0.02**2 + 30.0 * 0.08
         expected = 20.0 + 29.95 * 0.1 - dist_self
-        assert out.velocity_mps == 30.0
-        assert out.spacing_m == pytest.approx(expected, abs=1e-12)
+        assert velocity == 30.0
+        assert spacing == pytest.approx(expected, abs=1e-12)
 
     def test_rejects_bad_dt_and_nan(self):
-        state = VehicleState(20.0, 15.0, 0.0)
         with pytest.raises(ValueError):
-            step_kinematics(state, 15.0, 0.0, 0.0, 0.0)
+            step_kinematics(20.0, 15.0, 15.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
-            step_kinematics(state, math.nan, 0.0, 0.0, 0.1)
+            step_kinematics(20.0, 15.0, math.nan, 0.0, 0.0, 0.1)
 
 
 @pytest.fixture(scope="module")
