@@ -9,14 +9,19 @@ trace (vehicle 0 follows the trace and is not an agent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .ovm import OvmParams, headway_velocity, ovm_accel
-from .vehicle import MIN_SPACING, U_MAX, VehicleParams, electric_power, step_kinematics
+from .ovm import OvmParams, _gain_accel, headway_velocity
+from .vehicle import MIN_SPACING, U_MAX, VehicleParams, _kinematics, _power_kw, _power_law
+
+# Not called here, since step runs the laws' unchecked cores: bench/spans.py
+# times the physics functions under their names in this module.
+from .ovm import ovm_accel  # noqa: F401
+from .vehicle import electric_power, step_kinematics  # noqa: F401
 
 # Discrete action set: (alpha, beta) gain pairs for the car-following law.
 ACTION_GAINS: tuple[tuple[float, float], ...] = (
@@ -245,14 +250,16 @@ class PlatoonEnv:
             self._leader = _virtual_target(cfg)
         # The agent vehicles: all but a replayed leader.
         self.agents = slice(1 if cfg.leader_mode == "trace-replay" else 0, None)
-        self._agent_index = np.arange(self.n_agents)
-        # The car-following law with one row per action's gain pair.
-        self._gain_table = replace(self.ovm, alpha=_GAINS[:, :1], beta=_GAINS[:, 1:])
+        self._power_law = _power_law(self.vehicle)
+        # Scales of the own observation entries after the first, which is
+        # relative to each vehicle's initial velocity.
+        self._own_scales = np.array([[5.0], [5.0], [cfg.d_star], [U_MAX]])
         # The platoon: one row per LOG_FIELDS entry, one column per vehicle.
         self._values: np.ndarray | None = None
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
         self._v_ahead: np.ndarray | None = None
+        self._v_head: np.ndarray | None = None
         self._step_idx = 0
         self._done = True
 
@@ -300,7 +307,7 @@ class PlatoonEnv:
             velocity[0] = self._leader[0]
             spacing[0] = math.nan
         accel = np.zeros(cfg.n_vehicles)
-        power = electric_power(self.vehicle, velocity, accel)
+        power = _power_kw(self._power_law, velocity, accel)
         rewards = np.full(cfg.n_vehicles, math.nan)
         self._values = np.array([spacing, velocity, accel, power, rewards])
         self._v0 = velocity.copy()
@@ -314,18 +321,20 @@ class PlatoonEnv:
         a = self.agents
         values = self._values
         d, v, u, v0 = values[0, a], values[1, a], values[2, a], self._v0[a]
-        # Kept for the next step's car-following law.
-        self._v_ahead = self._agent_ahead_velocity()
-        dv = self._v_ahead - v
-        v_head = headway_velocity(self.ovm, d)
+        # Both kept for the next step's car-following law.
+        self._v_ahead = v_ahead = self._agent_ahead_velocity()
+        self._v_head = v_head = headway_velocity(self.ovm, d)
+        dv = v_ahead - v
+        # The agents' own 5-vectors, one row per entry: the numerators, then
+        # each row over its scale, and the two velocity errors clipped.
+        rows = np.array((v - v0, dv, v_head - v, d + dv * cfg.dt - cfg.d_star, u))
+        rows[0] /= v0
+        rows[1:] /= self._own_scales
+        rows[1:3] = np.minimum(np.maximum(rows[1:3], -2.0), 2.0)
+        own = rows.T
         obs = np.zeros((self.n_agents, obs_dim_for("fprint")))
-        own = obs[:, :_OWN_DIM]
-        own[:, 0] = (v - v0) / v0
-        own[:, 1] = np.minimum(np.maximum(dv / 5.0, -2.0), 2.0)
-        own[:, 2] = np.minimum(np.maximum((v_head - v) / 5.0, -2.0), 2.0)
-        own[:, 3] = (d + dv * cfg.dt - cfg.d_star) / cfg.d_star
-        own[:, 4] = u / U_MAX
         o, f = _OWN_DIM, 3 * _OWN_DIM
+        obs[:, :o] = own
         obs[1:, o : 2 * o] = own[:-1]
         obs[:-1, 2 * o : f] = own[1:]
         obs[1:, f : f + N_ACTIONS] = self._fingerprints[:-1]
@@ -334,23 +343,42 @@ class PlatoonEnv:
 
     def step(
         self,
-        actions: Sequence[int],
+        actions: Sequence[int] | np.ndarray,
         fingerprints: np.ndarray | Sequence[np.ndarray] | None = None,
     ) -> StepOutcome:
         """Advance the platoon one dt with one action per agent.
 
-        fingerprints, when given, are the policy distributions the agents
-        just acted from; they appear in the neighbors' next observations.
+        actions is a 1-D integer vector of ACTION_GAINS indices, one per
+        agent. fingerprints, when given, are the policy distributions the
+        agents just acted from; they appear in the neighbors' next
+        observations. Other actions or fingerprints, or a non-finite agent
+        state, raise ValueError before anything is written.
         """
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
         cfg = self.cfg
         n_agents = self.n_agents
-        if len(actions) != n_agents:
-            raise ValueError(f"expected {n_agents} actions, got {len(actions)}")
-        for action in actions:
-            if not 0 <= action < N_ACTIONS:
-                raise ValueError(f"action index {action} out of range")
+        acts = np.asarray(actions)
+        # The range check reads a list: a NumPy reduction costs more than
+        # the whole conversion on a few agents.
+        listed = acts.tolist()
+        if not (
+            acts.shape == (n_agents,)
+            and acts.dtype.kind in "iu"
+            and 0 <= min(listed)
+            and max(listed) < N_ACTIONS
+        ):
+            raise ValueError(
+                f"expected {n_agents} integer actions in [0, {N_ACTIONS}), got {listed}"
+            )
+        a = self.agents
+        values = self._values
+        # The agents' spacing, velocity and acceleration rows, checked once:
+        # the laws below run unchecked on them and on values derived from
+        # them or from the leader sequence.
+        state = values[:3, a]
+        if not np.isfinite(state).all():
+            raise ValueError("step requires a finite agent state")
         if fingerprints is not None:
             fp = np.asarray(fingerprints, dtype=float)
             if fp.shape != (n_agents, N_ACTIONS):
@@ -359,25 +387,22 @@ class PlatoonEnv:
 
         k = self._step_idx
         dt = cfg.dt
-        a = self.agents
-        values = self._values
-        # The agents' spacing, velocity and acceleration rows: views, so the
-        # step's writes below show through them.
-        d, v, u = values[0, a], values[1, a], values[2, a]
+        # Views, so the step's writes below show through them.
+        d, v, u = state[0], state[1], state[2]
         v_ahead = self._v_ahead
-        # Gain-law accelerations from the pre-step snapshot: the law under
-        # every gain pair at once, then each agent's row.
-        u_all = ovm_accel(self._gain_table, d, v, v_ahead)
-        u_cmd = u_all[np.asarray(actions, dtype=np.intp), self._agent_index]
+        # Each agent's gain pair in the law, from the pre-step snapshot and
+        # the headway velocity of the last observations.
+        gains = _GAINS[acts].T
+        u_cmd = _gain_accel(gains[0], gains[1], self._v_head, v, v_ahead)
         # The first agent follows the virtual car or the replayed leader,
         # whose motion over the step comes from the leader sequence.
         lead_v_next = self._leader_velocity(k + 1)
         lead_u = (lead_v_next - v_ahead[0]) / dt
-        values[:3, a] = step_kinematics(d, v, v_ahead[0], lead_u, u_cmd, dt)
+        values[:3, a] = _kinematics(d, v, v_ahead[0], lead_u, u_cmd, dt)
         if a.start:
             values[1:3, 0] = lead_v_next, lead_u
         self._step_idx = k + 1
-        values[3] = electric_power(self.vehicle, values[1], values[2])
+        values[3] = _power_kw(self._power_law, values[1], values[2])
 
         crashed = d <= MIN_SPACING
         rewards = compute_reward(self.reward, d, v, u, values[3, a], cfg.d_star, cfg.v_star)

@@ -207,10 +207,12 @@ def forward(
     hd = net.hidden_dim
     x = np.tanh(_mv(net.input_w, obs) + net.input_b)
     z = _mv(net.lstm_wx, x) + _mv(net.lstm_wh, hidden.h) + net.lstm_b
-    gate_i = _sigmoid(z[..., :hd])
-    gate_f = _sigmoid(z[..., hd : 2 * hd])
+    # One sigmoid over all four gate blocks; the cell gate's is unused.
+    gates = _sigmoid(z)
+    gate_i = gates[..., :hd]
+    gate_f = gates[..., hd : 2 * hd]
     gate_g = np.tanh(z[..., 2 * hd : 3 * hd])
-    gate_o = _sigmoid(z[..., 3 * hd :])
+    gate_o = gates[..., 3 * hd :]
     c_new = gate_f * hidden.c + gate_i * gate_g
     tanh_c = np.tanh(c_new)
     h_new = gate_o * tanh_c

@@ -19,8 +19,7 @@ class OvmParams:
 
     alpha: gain on the headway velocity error, 1/s.
     beta: gain on the velocity difference to the predecessor, 1/s.
-    Either gain may be an array that broadcasts against the state: one gain
-    per vehicle, or a (k, 1) column that evaluates k gain pairs at once.
+    Either gain may be an array of one gain per vehicle.
     d_stop: gap (m) at and below which the desired velocity is zero.
     d_go: gap (m) at and above which the desired velocity is v_max.
     v_max: free-flow desired velocity, m/s.
@@ -62,5 +61,10 @@ def ovm_accel(
     # d is checked by headway_velocity.
     if not (np.isfinite(v).all() and np.isfinite(v_prev).all()):
         raise ValueError("ovm_accel requires finite inputs")
-    u = params.alpha * (headway_velocity(params, d) - v) + params.beta * (v_prev - v)
+    return _gain_accel(params.alpha, params.beta, headway_velocity(params, d), v, v_prev)
+
+
+def _gain_accel(alpha, beta, v_head, v, v_prev):
+    """ovm_accel without its checks, from the headway velocity v_head = v_h(d)."""
+    u = alpha * (v_head - v) + beta * (v_prev - v)
     return np.minimum(np.maximum(u, U_MIN), U_MAX)

@@ -139,7 +139,9 @@ def sample_actions(rng: np.random.Generator, policy: np.ndarray) -> np.ndarray:
     ValueError, as rng.choice does, on a row that has a negative entry or
     does not sum to 1."""
     cdf = np.cumsum(policy, axis=1)
-    if (policy < 0.0).any() or (np.abs(cdf[:, -1] - 1.0) > _SUM_TOL).any():
+    # fmin and fmax skip nan, so a nan entry alone raises nothing here.
+    lowest = np.fmin.reduce(policy, axis=None)
+    if lowest < 0.0 or np.fmax.reduce(np.abs(cdf[:, -1] - 1.0)) > _SUM_TOL:
         raise ValueError("probabilities must be non-negative and sum to 1")
     cdf /= cdf[:, -1:]
     return np.sum(cdf <= rng.random(len(policy))[:, None], axis=1)

@@ -121,13 +121,47 @@ def step_kinematics(
     _require_finite("step_kinematics", d, v, u_cmd, v_prev, u_prev, dt)
     if dt <= 0.0:
         raise ValueError("step_kinematics requires dt > 0")
+    return tuple(x[()] for x in _kinematics(d, v, v_prev, u_prev, u_cmd, dt))
+
+
+def _kinematics(
+    d: np.ndarray, v: np.ndarray, v_prev: float, u_prev: float, u_cmd: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """step_kinematics on float arrays, without its checks."""
     u = np.minimum(np.maximum(u_cmd, U_MIN), U_MAX)
     dist_self, v_new = _travel(v, u, dt)
     v_flat, v_new_flat = v.reshape(-1), v_new.reshape(-1)
     v_ahead = np.concatenate(([v_prev], v_flat[:-1]))
     u_ahead = np.concatenate(([u_prev], (v_new_flat[:-1] - v_flat[:-1]) / dt))
     dist_prev = (v_ahead * dt + 0.5 * u_ahead * dt * dt).reshape(v.shape)
-    return (d + dist_prev - dist_self)[()], v_new[()], u[()]
+    return d + dist_prev - dist_self, v_new, u
+
+
+# The constants of driving_force and electric_power: m, m g f,
+# rho A_f C_d / 2 and eta.
+_PowerLaw = tuple[float, float, float, float]
+
+
+def _power_law(params: VehicleParams) -> _PowerLaw:
+    return (
+        params.mass_kg,
+        params.mass_kg * GRAVITY * params.rolling_coeff,
+        0.5 * params.air_density * params.frontal_area_m2 * params.drag_coeff,
+        params.drivetrain_eff,
+    )
+
+
+def _force(law: _PowerLaw, v, u):
+    """driving_force without its checks."""
+    mass, rolling, drag, _ = law
+    return mass * u + rolling + drag * v * v
+
+
+def _power_kw(law: _PowerLaw, v, u) -> np.ndarray:
+    """electric_power without its checks."""
+    wheel_w = _force(law, v, u) * v
+    eta = law[3]
+    return np.where(wheel_w >= 0.0, wheel_w / eta, wheel_w * eta) / 1000.0
 
 
 def driving_force(
@@ -140,9 +174,7 @@ def driving_force(
         F = m u + m g f + (1/2) rho A_f C_d v^2
     """
     _require_finite("driving_force", v, u)
-    rolling = params.mass_kg * GRAVITY * params.rolling_coeff
-    drag = 0.5 * params.air_density * params.frontal_area_m2 * params.drag_coeff * v * v
-    return params.mass_kg * u + rolling + drag
+    return _force(_power_law(params), v, u)
 
 
 def electric_power(
@@ -157,9 +189,8 @@ def electric_power(
         P = F v / eta   if F v >= 0
         P = F v * eta   otherwise
     """
-    wheel_w = driving_force(params, v, u) * v
-    eta = params.drivetrain_eff
-    return (np.where(wheel_w >= 0.0, wheel_w / eta, wheel_w * eta) / 1000.0)[()]
+    _require_finite("electric_power", v, u)
+    return _power_kw(_power_law(params), v, u)[()]
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,39 @@ class TestStep:
         with pytest.raises(ValueError):
             env.step([0, 0, -1])
 
+    @pytest.mark.parametrize(
+        "actions",
+        [
+            [1.5, 0, 0],
+            [True, False, False],
+            np.array([2.9, 0.0, 0.0]),
+            np.zeros((3, 1), dtype=int),
+            [[0, 1], [0, 1], [0, 1]],
+        ],
+        ids=["float-list", "bools", "float-array", "column", "pairs"],
+    )
+    def test_actions_must_be_one_integer_vector(self, actions):
+        env = PlatoonEnv(quiet_scenario())
+        env.reset()
+        before = env.vehicle_values()
+        with pytest.raises(ValueError, match=r"^expected 3 integer actions in \[0, 4\)") as err:
+            env.step(actions)
+        assert "\n" not in str(err.value)
+        assert np.array_equal(env.vehicle_values(), before, equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["spacing", "velocity", "accel"])
+    def test_non_finite_agent_state_raises_before_any_write(self, row, bad):
+        env = PlatoonEnv(quiet_scenario())
+        env.reset()
+        env._values[row, 1] = bad
+        before = env.vehicle_values()
+        with pytest.raises(ValueError, match="finite agent state"):
+            env.step([0, 0, 0], fingerprints=np.eye(3, N_ACTIONS))
+        assert np.array_equal(env.vehicle_values(), before, equal_nan=True)
+        assert np.array_equal(env._fingerprints, np.full((3, N_ACTIONS), 1.0 / N_ACTIONS))
+        assert env._step_idx == 0
+
     def test_fingerprints_appear_in_neighbor_observations(self):
         env = PlatoonEnv(quiet_scenario())
         env.reset()
