@@ -16,7 +16,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .ovm import OvmParams, _gain_accel, headway_velocity
-from .vehicle import MIN_SPACING, U_MAX, VehicleParams, _kinematics, _power_kw, _power_law
+from .vehicle import (
+    MIN_SPACING,
+    U_MAX,
+    VehicleParams,
+    _all_finite,
+    _kinematics,
+    _power_kw,
+    _power_law,
+)
 
 # Not called here, since step runs the laws' unchecked cores: bench/spans.py
 # times the physics functions under their names in this module.
@@ -36,7 +44,8 @@ OBS_MODES = ("ia2c", "fprint")
 LEADER_MODES = ("virtual-target", "trace-replay")
 
 _OWN_DIM = 5
-_GAINS = np.array(ACTION_GAINS)
+# One row of alpha and one of beta, a column per action.
+_GAINS = np.array(ACTION_GAINS).T
 
 # Per-vehicle values of a step, in the order of PlatoonEnv.vehicle_values().
 LOG_FIELDS = ("spacing_m", "velocity_mps", "accel_mps2", "power_kw", "reward")
@@ -150,14 +159,48 @@ def compute_reward(
     The safety term activates only once the gap falls below twice d_safe.
     The collision penalty is applied by the environment, not here.
     """
-    safety_gap = np.maximum(0.0, 2.0 * weights.d_safe - d)
-    return (
-        weights.w_spacing * np.square(d - d_star)
-        + weights.w_velocity * np.square(v - v_star)
-        + weights.w_accel * np.square(u)
-        + weights.w_safety * np.square(safety_gap)
-        + weights.w_power * (power_kw / weights.power_norm)
-    )
+    d, v, u, power_kw = np.broadcast_arrays(d, v, u, power_kw)
+    law = _reward_law(weights, d_star, v_star, d.size)
+    rewards = _reward(law, *(np.reshape(x, -1) for x in (d, v, u, power_kw)))
+    return rewards.reshape(d.shape)[()]
+
+
+def _full_size(constants, n: int) -> np.ndarray:
+    """A law's constants, each repeated into a row of n. The per-step
+    arithmetic runs faster on them than on Python floats or on columns,
+    which NumPy converts or broadcasts anew on every call."""
+    return np.array(constants, dtype=float)[..., None].repeat(n, axis=-1)
+
+
+def _reward_law(
+    weights: RewardWeights, d_star: float, v_star: float, n: int
+) -> tuple[np.ndarray, ...]:
+    """The constants of _reward for n agents, full-size: the offsets, caps
+    and weights of its (4, n) error block over the rows d, v, u and d, then
+    the power term's weight and normalizer."""
+    offsets, caps, scales = _full_size([
+        [d_star, v_star, 0.0, 2.0 * weights.d_safe],
+        [math.inf, math.inf, math.inf, 0.0],
+        [weights.w_spacing, weights.w_velocity, weights.w_accel, weights.w_safety],
+    ], n)
+    power_weight, power_norm = _full_size([weights.w_power, weights.power_norm], n)
+    return offsets, caps, scales, power_weight, power_norm
+
+
+def _reward(law: tuple[np.ndarray, ...], d, v, u, power_kw) -> np.ndarray:
+    """compute_reward on (n,) arrays, from its _reward_law."""
+    offsets, caps, scales, power_weight, power_norm = law
+    # The errors d - d*, v - v*, u and d - 2 d_safe, the last capped at 0:
+    # min(d - 2 d_safe, 0)^2 is the safety term's max(0, 2 d_safe - d)^2.
+    errors = np.minimum(np.array((d, v, u, d)) - offsets, caps)
+    errors *= errors
+    errors *= scales
+    spacing, velocity, accel, safety = errors
+    rewards = spacing + velocity
+    rewards += accel
+    rewards += safety
+    rewards += power_weight * (power_kw / power_norm)
+    return rewards
 
 
 def _virtual_target(cfg: ScenarioConfig) -> np.ndarray:
@@ -250,16 +293,28 @@ class PlatoonEnv:
             self._leader = _virtual_target(cfg)
         # The agent vehicles: all but a replayed leader.
         self.agents = slice(1 if cfg.leader_mode == "trace-replay" else 0, None)
-        self._power_law = _power_law(self.vehicle)
-        # Scales of the own observation entries after the first, which is
-        # relative to each vehicle's initial velocity.
-        self._own_scales = np.array([[5.0], [5.0], [cfg.d_star], [U_MAX]])
+        n_agents = self.n_agents
+        self._power_law = _full_size(_power_law(self.vehicle), cfg.n_vehicles)
+        self._reward_law = _reward_law(self.reward, cfg.d_star, cfg.v_star, n_agents)
+        self._own_law = _own_law(cfg, n_agents)
+        # The observations gather from one flat source: the agents' own
+        # 5-vectors entry by entry, their fingerprints agent by agent, and a
+        # zero for the neighbors that are not agents.
+        self._obs_source = np.zeros((_OWN_DIM + N_ACTIONS) * n_agents + 1)
+        self._own = self._obs_source[: _OWN_DIM * n_agents].reshape(_OWN_DIM, n_agents)
+        self._fingerprint_slot = self._obs_source[_OWN_DIM * n_agents : -1].reshape(
+            n_agents, N_ACTIONS
+        )
+        self._obs_index = _observation_index(n_agents)
         # The platoon: one row per LOG_FIELDS entry, one column per vehicle.
         self._values: np.ndarray | None = None
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
-        self._v_ahead: np.ndarray | None = None
-        self._v_head: np.ndarray | None = None
+        # Set by each observation for the next step: the agents' own and
+        # predecessor velocities, and their errors to the predecessor and to
+        # the headway velocity.
+        self._velocities: np.ndarray | None = None
+        self._errors: np.ndarray | None = None
         self._step_idx = 0
         self._done = True
 
@@ -288,12 +343,6 @@ class PlatoonEnv:
         holds its last sample past its end."""
         return float(self._leader[min(k, self._leader.size - 1)])
 
-    def _agent_ahead_velocity(self) -> np.ndarray:
-        """Each agent's predecessor velocity at the current step."""
-        v = self._values[1]
-        lead = self._leader_velocity(self._step_idx)
-        return np.concatenate(([lead], v[:-1]))[self.agents]
-
     def reset(self, seed: int | None = None) -> np.ndarray:
         cfg = self.cfg
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
@@ -306,11 +355,10 @@ class PlatoonEnv:
         if self.agents.start:
             velocity[0] = self._leader[0]
             spacing[0] = math.nan
-        accel = np.zeros(cfg.n_vehicles)
-        power = _power_kw(self._power_law, velocity, accel)
-        rewards = np.full(cfg.n_vehicles, math.nan)
-        self._values = np.array([spacing, velocity, accel, power, rewards])
-        self._v0 = velocity.copy()
+        self._values = values = np.empty((len(LOG_FIELDS), cfg.n_vehicles))
+        values[0], values[1], values[2], values[4] = spacing, velocity, 0.0, math.nan
+        values[3] = _power_kw(self._power_law, values[1], values[2])
+        self._v0 = velocity
         self._fingerprints = np.full((self.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
         self._step_idx = 0
         self._done = False
@@ -320,26 +368,31 @@ class PlatoonEnv:
         cfg = self.cfg
         a = self.agents
         values = self._values
-        d, v, u, v0 = values[0, a], values[1, a], values[2, a], self._v0[a]
-        # Both kept for the next step's car-following law.
-        self._v_ahead = v_ahead = self._agent_ahead_velocity()
-        self._v_head = v_head = headway_velocity(self.ovm, d)
-        dv = v_ahead - v
-        # The agents' own 5-vectors, one row per entry: the numerators, then
-        # each row over its scale, and the two velocity errors clipped.
-        rows = np.array((v - v0, dv, v_head - v, d + dv * cfg.dt - cfg.d_star, u))
-        rows[0] /= v0
-        rows[1:] /= self._own_scales
-        rows[1:3] = np.minimum(np.maximum(rows[1:3], -2.0), 2.0)
-        own = rows.T
-        obs = np.zeros((self.n_agents, obs_dim_for("fprint")))
-        o, f = _OWN_DIM, 3 * _OWN_DIM
-        obs[:, :o] = own
-        obs[1:, o : 2 * o] = own[:-1]
-        obs[:-1, 2 * o : f] = own[1:]
-        obs[1:, f : f + N_ACTIONS] = self._fingerprints[:-1]
-        obs[:-1, f + N_ACTIONS :] = self._fingerprints[1:]
-        return obs
+        d = values[0, a]
+        # The agents' own velocities, their predecessors' and the headway
+        # velocities of their gaps. The first agent's predecessor drives at
+        # the leader sequence's velocity: the virtual car, or vehicle 0
+        # replaying the trace.
+        vel = np.empty((3, self.n_agents))
+        vel[0] = values[1, a]
+        vel[1, 0] = self._leader_velocity(self._step_idx)
+        vel[1, 1:] = values[1, a.start : -1]
+        vel[2] = headway_velocity(self.ovm, d)
+        errors = vel[1:] - vel[0]
+        self._velocities, self._errors = vel[:2], errors
+        # The own 5-vectors, one row per entry: the numerators, then each
+        # row over its scale, with the two velocity errors clipped.
+        dt, d_star, scales, low, high = self._own_law
+        own = self._own
+        v0 = self._v0[a]
+        own[0] = vel[0] - v0
+        own[0] /= v0
+        own[1:3] = errors
+        own[3] = errors[0] * dt + d - d_star
+        own[4] = values[2, a]
+        own[1:] = np.minimum(np.maximum(own[1:] / scales, low), high)
+        self._fingerprint_slot[...] = self._fingerprints
+        return self._obs_source[self._obs_index]
 
     def step(
         self,
@@ -376,8 +429,7 @@ class PlatoonEnv:
         # The agents' spacing, velocity and acceleration rows, checked once:
         # the laws below run unchecked on them and on values derived from
         # them or from the leader sequence.
-        state = values[:3, a]
-        if not np.isfinite(state).all():
+        if not _all_finite(values[:3, a]):
             raise ValueError("step requires a finite agent state")
         if fingerprints is not None:
             fp = np.asarray(fingerprints, dtype=float)
@@ -387,28 +439,29 @@ class PlatoonEnv:
 
         k = self._step_idx
         dt = cfg.dt
-        # Views, so the step's writes below show through them.
-        d, v, u = state[0], state[1], state[2]
-        v_ahead = self._v_ahead
-        # Each agent's gain pair in the law, from the pre-step snapshot and
-        # the headway velocity of the last observations.
-        gains = _GAINS[acts].T
-        u_cmd = _gain_accel(gains[0], gains[1], self._v_head, v, v_ahead)
+        # Each agent's gain pair in the law, on the velocity errors of the
+        # last observations.
+        alpha, beta = _GAINS.take(acts, axis=1)
+        ahead_err, head_err = self._errors
+        u = _gain_accel(alpha, beta, head_err, ahead_err)
         # The first agent follows the virtual car or the replayed leader,
         # whose motion over the step comes from the leader sequence.
+        vel = self._velocities
         lead_v_next = self._leader_velocity(k + 1)
-        lead_u = (lead_v_next - v_ahead[0]) / dt
-        values[:3, a] = _kinematics(d, v, v_ahead[0], lead_u, u_cmd, dt)
+        lead_u = (lead_v_next - vel[1, 0]) / dt
+        d, v = _kinematics(values[0, a], vel, lead_u, u, dt)
+        values[0, a], values[1, a], values[2, a] = d, v, u
         if a.start:
             values[1:3, 0] = lead_v_next, lead_u
         self._step_idx = k + 1
         values[3] = _power_kw(self._power_law, values[1], values[2])
 
+        rewards = _reward(self._reward_law, d, v, u, values[3, a])
         crashed = d <= MIN_SPACING
-        rewards = compute_reward(self.reward, d, v, u, values[3, a], cfg.d_star, cfg.v_star)
-        rewards = rewards - self.reward.collision_penalty * crashed
+        collisions = int(np.count_nonzero(crashed))
+        if collisions:
+            rewards -= self.reward.collision_penalty * crashed
         values[4, a] = rewards
-        collisions = int(crashed.sum())
         self._done = collisions > 0 or self._step_idx >= cfg.episode_steps
         return StepOutcome(
             observations=self._observations(),
@@ -416,3 +469,35 @@ class PlatoonEnv:
             done=self._done,
             collisions=collisions,
         )
+
+
+def _own_law(cfg: ScenarioConfig, n_agents: int) -> tuple[np.ndarray, ...]:
+    """The constants of the own 5-vectors' entries after the first,
+    full-size: dt and d_star, then the (4, n_agents) scales and clip bounds,
+    [-2, 2] on the two velocity errors and none on the rest."""
+    dt, d_star = _full_size([cfg.dt, cfg.d_star], n_agents)
+    scales, low, high = _full_size([
+        [5.0, 5.0, cfg.d_star, U_MAX],
+        [-2.0, -2.0, -math.inf, -math.inf],
+        [2.0, 2.0, math.inf, math.inf],
+    ], n_agents)
+    return dt, d_star, scales, low, high
+
+
+def _observation_index(n_agents: int) -> np.ndarray:
+    """(n_agents, obs_dim_for("fprint")) positions in PlatoonEnv's flat
+    observation source: per agent its own 5-vector, its front and rear
+    neighbors' 5-vectors and their fingerprints, or the trailing zero where
+    there is no neighbor."""
+    own = np.arange(_OWN_DIM) * n_agents
+    fingerprints = _OWN_DIM * n_agents + np.arange(N_ACTIONS)
+    agent = np.arange(n_agents)[:, None]
+    blocks = []
+    for entries, stride, shift in (
+        (own, 1, 0), (own, 1, -1), (own, 1, 1),
+        (fingerprints, N_ACTIONS, -1), (fingerprints, N_ACTIONS, 1),
+    ):
+        neighbor = agent + shift
+        present = (0 <= neighbor) & (neighbor < n_agents)
+        blocks.append(np.where(present, entries + neighbor * stride, -1))
+    return np.hstack(blocks)

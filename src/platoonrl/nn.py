@@ -221,7 +221,7 @@ def forward(
     exp_l = np.exp(logits)
     policy = exp_l / exp_l.sum(axis=-1, keepdims=True)
     value = (_mv(net.critic_w, h_new) + net.critic_b)[..., 0]
-    if not (np.all(np.isfinite(policy)) and np.all(np.isfinite(value))):
+    if not (np.isfinite(policy).all() and np.isfinite(value).all()):
         raise FloatingPointError("non-finite network output")
     record = ForwardRecord(
         obs=obs,

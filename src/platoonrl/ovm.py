@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vehicle import U_MAX, U_MIN
+from .vehicle import _actuate, _all_finite
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class OvmParams:
 def headway_velocity(params: OvmParams, d: float | np.ndarray) -> float | np.ndarray:
     """Desired velocity for gap d: 0 below d_stop, v_max above d_go, and a
     half-cosine ramp in between. Continuous and non-decreasing in d."""
-    if not np.isfinite(d).all():
+    if not _all_finite(d):
         raise ValueError("headway_velocity requires finite d")
     frac = np.minimum(np.maximum((d - params.d_stop) / (params.d_go - params.d_stop), 0.0), 1.0)
     return 0.5 * params.v_max * (1.0 - np.cos(np.pi * frac))
@@ -59,12 +59,12 @@ def ovm_accel(
     clipped to the actuation box. Takes floats or arrays; array gains
     broadcast against the state (see OvmParams)."""
     # d is checked by headway_velocity.
-    if not (np.isfinite(v).all() and np.isfinite(v_prev).all()):
+    if not (_all_finite(v) and _all_finite(v_prev)):
         raise ValueError("ovm_accel requires finite inputs")
-    return _gain_accel(params.alpha, params.beta, headway_velocity(params, d), v, v_prev)
+    return _gain_accel(params.alpha, params.beta, headway_velocity(params, d) - v, v_prev - v)
 
 
-def _gain_accel(alpha, beta, v_head, v, v_prev):
-    """ovm_accel without its checks, from the headway velocity v_head = v_h(d)."""
-    u = alpha * (v_head - v) + beta * (v_prev - v)
-    return np.minimum(np.maximum(u, U_MIN), U_MAX)
+def _gain_accel(alpha, beta, head_err, ahead_err):
+    """ovm_accel without its checks, from the velocity errors to the headway
+    velocity, v_h(d) - v, and to the predecessor, v_prev - v."""
+    return _actuate(alpha * head_err + beta * ahead_err)

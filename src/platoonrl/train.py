@@ -136,12 +136,13 @@ def sample_actions(rng: np.random.Generator, policy: np.ndarray) -> np.ndarray:
     rng.random(n_agents) draw. Gives the actions, and leaves rng in the
     state, that rng.choice(n_actions, p=row) for each row in turn would:
     the same cumulative sums, uniforms and right-side search. Raises
-    ValueError, as rng.choice does, on a row that has a negative entry or
-    does not sum to 1."""
+    ValueError, as rng.choice does, on a row that has a negative or nan
+    entry or does not sum to 1."""
     cdf = np.cumsum(policy, axis=1)
-    # fmin and fmax skip nan, so a nan entry alone raises nothing here.
+    # fmin skips nan, but a nan entry makes its row's sum nan, which
+    # maximum propagates and which fails the comparison.
     lowest = np.fmin.reduce(policy, axis=None)
-    if lowest < 0.0 or np.fmax.reduce(np.abs(cdf[:, -1] - 1.0)) > _SUM_TOL:
+    if lowest < 0.0 or not np.maximum.reduce(np.abs(cdf[:, -1] - 1.0)) <= _SUM_TOL:
         raise ValueError("probabilities must be non-negative and sum to 1")
     cdf /= cdf[:, -1:]
     return np.sum(cdf <= rng.random(len(policy))[:, None], axis=1)

@@ -66,26 +66,45 @@ class VehicleParams:
 def _require_finite(name: str, *values) -> None:
     """Raise ValueError unless every element of every value is finite."""
     for x in values:
-        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        if not (math.isfinite(x) if isinstance(x, float) else _all_finite(x)):
             raise ValueError(f"{name} requires finite inputs")
 
 
-def _travel(v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Distance covered and final velocity over dt under constant u.
+def _all_finite(x) -> bool:
+    """Whether every element of x, an array or a float, is finite. Counting
+    costs less than an all() reduction, which goes through NumPy's
+    Python-level wrapper."""
+    finite = np.isfinite(x)
+    return np.count_nonzero(finite) == finite.size
 
-    The velocity trajectory is clipped to [V_MIN, V_MAX]: once the bound is
-    hit the vehicle holds it for the remainder of the step, and the distance
-    integral accounts for that exactly. A zero command coasts at v.
+
+def _actuate(u_cmd):
+    """A commanded acceleration clipped to the actuation box."""
+    return np.minimum(np.maximum(u_cmd, U_MIN), U_MAX)
+
+
+def _travel(v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """Final velocity over dt under constant u, clipped to [V_MIN, V_MAX],
+    and the mask of the vehicles the clip binds on, None where it binds on
+    none. A zero command coasts at v, even outside the bounds.
+
+    The bound test reads a list: on a few vehicles two NumPy reductions
+    cost more than the conversion.
     """
     v_end = v + u * dt
-    dist = v * dt + 0.5 * u * dt * dt
-    if V_MIN <= v_end.min() and v_end.max() <= V_MAX:
-        return dist, v_end
+    listed = v_end.tolist()
+    if V_MIN <= min(listed) and max(listed) <= V_MAX:
+        return v_end, None
     clipped = (u != 0.0) & ((v_end < V_MIN) | (v_end > V_MAX))
-    bound = np.where(v_end > V_MAX, V_MAX, V_MIN)
-    t_hit = np.clip((bound - v) / np.where(clipped, u, 1.0), 0.0, dt)
-    dist_clipped = v * t_hit + 0.5 * u * t_hit * t_hit + bound * (dt - t_hit)
-    return np.where(clipped, dist_clipped, dist), np.where(clipped, bound, v_end)
+    return np.where(clipped, np.where(v_end > V_MAX, V_MAX, V_MIN), v_end), clipped
+
+
+def _clipped_distance(v: np.ndarray, u: np.ndarray, bound: np.ndarray, dt: float) -> np.ndarray:
+    """Distance covered over dt under constant u by vehicles that hit their
+    velocity bound within the step and hold it for the remainder: the
+    distance integral accounts for that exactly."""
+    t_hit = np.clip((bound - v) / u, 0.0, dt)
+    return v * t_hit + 0.5 * u * t_hit * t_hit + bound * (dt - t_hit)
 
 
 def step_kinematics(
@@ -98,7 +117,7 @@ def step_kinematics(
 ) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Advance one vehicle, or a platoon of them, by dt: returns the new
     (spacing, velocity, applied acceleration), floats for float inputs or
-    arrays shaped like d.
+    arrays of the inputs' broadcast shape.
 
     d is the bumper gap to the predecessor and v the own velocity; for a
     platoon both are (n,) arrays ordered front to back. (v_prev, u_prev) is
@@ -121,25 +140,38 @@ def step_kinematics(
     _require_finite("step_kinematics", d, v, u_cmd, v_prev, u_prev, dt)
     if dt <= 0.0:
         raise ValueError("step_kinematics requires dt > 0")
-    return tuple(x[()] for x in _kinematics(d, v, v_prev, u_prev, u_cmd, dt))
+    shape = np.broadcast_shapes(d.shape, v.shape, u_cmd.shape)
+    d, v, u_cmd = (np.broadcast_to(x, shape).reshape(-1) for x in (d, v, u_cmd))
+    u = _actuate(u_cmd)
+    vel = np.array((v, np.concatenate(([v_prev], v[:-1]))))
+    spacing, v_new = _kinematics(d, vel, u_prev, u, dt)
+    return tuple(x.reshape(shape)[()] for x in (spacing, v_new, u))
 
 
 def _kinematics(
-    d: np.ndarray, v: np.ndarray, v_prev: float, u_prev: float, u_cmd: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """step_kinematics on float arrays, without its checks."""
-    u = np.minimum(np.maximum(u_cmd, U_MIN), U_MAX)
-    dist_self, v_new = _travel(v, u, dt)
-    v_flat, v_new_flat = v.reshape(-1), v_new.reshape(-1)
-    v_ahead = np.concatenate(([v_prev], v_flat[:-1]))
-    u_ahead = np.concatenate(([u_prev], (v_new_flat[:-1] - v_flat[:-1]) / dt))
-    dist_prev = (v_ahead * dt + 0.5 * u_ahead * dt * dt).reshape(v.shape)
-    return d + dist_prev - dist_self, v_new, u
+    d: np.ndarray, vel: np.ndarray, u_lead: float, u: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """step_kinematics on 1-D float arrays, without its checks: the new
+    spacing and velocity. vel is the (2, n) block of each vehicle's own and
+    predecessor velocity, u_lead the first predecessor's acceleration and u
+    the command, already in the actuation box."""
+    v = vel[0]
+    v_new, clipped = _travel(v, u, dt)
+    # Each vehicle and its predecessor travel in one (2, n) pass; the
+    # predecessors in the platoon move at their realized accelerations.
+    acc = np.empty_like(vel)
+    acc[0] = u
+    acc[1, 0] = u_lead
+    acc[1, 1:] = (v_new[:-1] - v[:-1]) / dt
+    dist = vel * dt + 0.5 * acc * dt * dt
+    if clipped is not None:
+        dist[0, clipped] = _clipped_distance(v[clipped], u[clipped], v_new[clipped], dt)
+    return d + dist[1] - dist[0], v_new
 
 
 # The constants of driving_force and electric_power: m, m g f,
-# rho A_f C_d / 2 and eta.
-_PowerLaw = tuple[float, float, float, float]
+# rho A_f C_d / 2 and eta, as floats or as rows of an array.
+_PowerLaw = tuple[float, float, float, float] | np.ndarray
 
 
 def _power_law(params: VehicleParams) -> _PowerLaw:
@@ -157,11 +189,13 @@ def _force(law: _PowerLaw, v, u):
     return mass * u + rolling + drag * v * v
 
 
-def _power_kw(law: _PowerLaw, v, u) -> np.ndarray:
+def _power_kw(law: _PowerLaw, v, u):
     """electric_power without its checks."""
     wheel_w = _force(law, v, u) * v
     eta = law[3]
-    return np.where(wheel_w >= 0.0, wheel_w / eta, wheel_w * eta) / 1000.0
+    # With eta in (0, 1], wheel_w / eta is the larger of the two exactly
+    # when wheel_w >= 0, and the maximum picks one of them unchanged.
+    return np.maximum(wheel_w / eta, wheel_w * eta) / 1000.0
 
 
 def driving_force(
@@ -190,7 +224,7 @@ def electric_power(
         P = F v * eta   otherwise
     """
     _require_finite("electric_power", v, u)
-    return _power_kw(_power_law(params), v, u)[()]
+    return _power_kw(_power_law(params), v, u)
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,35 @@ class TestStep:
         assert np.array_equal(first[15:19], np.zeros(4)), "no agent ahead"
         assert np.array_equal(first[19:23], fps[1])
 
+    @pytest.mark.parametrize("replay", [False, True], ids=["virtual-target", "trace-replay"])
+    def test_returned_arrays_outlive_later_steps(self, replay):
+        # step reuses buffers between calls; nothing it handed out may
+        # change when later steps, or a new episode, run.
+        profile = np.linspace(15.0, 10.0, 40) if replay else None
+        cfg = ScenarioConfig(
+            n_vehicles=4,
+            episode_steps=30,
+            leader_mode="trace-replay" if replay else "virtual-target",
+        )
+        env = PlatoonEnv(cfg, leader_profile=profile)
+        rng = np.random.default_rng(0)
+
+        def step():
+            fps = rng.dirichlet(np.ones(N_ACTIONS), env.n_agents)
+            return env.step(rng.integers(0, N_ACTIONS, env.n_agents), fps)
+
+        handed_out = [env.reset(seed=0), env.vehicle_values()]
+        for _ in range(3):
+            out = step()
+            handed_out += [out.observations, out.rewards, env.vehicle_values()]
+        copies = [x.copy() for x in handed_out]
+        for _ in range(5):
+            step()
+        env.reset(seed=1)
+        step()
+        for x, before in zip(handed_out, copies):
+            assert np.array_equal(x, before, equal_nan=True)
+
     def test_fingerprint_shape_validation(self):
         env = PlatoonEnv(quiet_scenario())
         env.reset()

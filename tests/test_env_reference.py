@@ -1,7 +1,9 @@
 """The array-shaped PlatoonEnv against the per-vehicle reference step.
 
 From the same state, one step of each must give bit-equal observations,
-spacing, velocity, acceleration, power, done flags and collision counts.
+spacing, velocity, acceleration, power, done flags and collision counts,
+and so must every step of whole episodes run side by side, which also
+checks what the environment carries from one step to the next.
 Rewards may differ in the last bits: the reference squares with ``x ** 2``
 (libm ``pow``), the environment by multiplication.
 """
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from platoonrl.env import N_ACTIONS, Perturbation, PlatoonEnv, ScenarioConfig
 from platoonrl.ovm import OvmParams, headway_velocity, ovm_accel
-from platoonrl.vehicle import step_kinematics
+from platoonrl.vehicle import U_MAX, U_MIN, V_MAX, V_MIN, step_kinematics
 
 import reference_env as ref_mod
 from reference_env import ReferenceEnv
@@ -240,3 +242,97 @@ def test_ovm_law_matches_reference(rows):
         params = OvmParams(alpha=gains[i, 0], beta=gains[i, 1])
         assert got_vh[i] == ref_mod.headway_velocity(params, d[i])
         assert got_u[i] == ref_mod.ovm_accel(params, d[i], v[i], v_prev[i])
+
+
+def side_by_side(cfg, profile, seed, fprint):
+    """Run one whole episode of PlatoonEnv and of ReferenceEnv from the same
+    reset state on the same random actions, comparing every step as
+    step_both does. Returns the velocity rows of the steps and the last
+    outcome."""
+    env = PlatoonEnv(cfg, leader_profile=profile)
+    obs = env.reset(seed=seed)
+    start = env.vehicle_values()
+    n_agents = env.n_agents
+    ref = ReferenceEnv(cfg, leader_profile=profile)
+    ref.set_state(start[0], start[1], start[2], start[1], uniform(n_agents), 0)
+    assert np.array_equal(obs, ref.observations())
+    rng = np.random.default_rng(seed)
+    velocities = []
+    for k in range(cfg.episode_steps):
+        actions = rng.integers(0, N_ACTIONS, n_agents)
+        fps = rng.dirichlet(np.ones(N_ACTIONS), n_agents) if fprint else None
+        out = env.step(actions, fps)
+        want = ref.step(actions, fps)
+        assert np.array_equal(out.observations, want.observations), k
+        got = env.vehicle_values()
+        for row, field in enumerate(("spacing_m", "velocity_mps", "accel_mps2")):
+            expected = np.array([getattr(s, field) for s in want.states])
+            assert np.array_equal(got[row], expected, equal_nan=True), (k, field)
+        assert np.array_equal(got[3], want.power_kw), k
+        np.testing.assert_allclose(out.rewards, want.rewards, rtol=1e-12, atol=1e-12)
+        assert (out.done, out.collisions) == (want.done, want.collisions), k
+        velocities.append(got[1])
+        if out.done:
+            break
+    return np.array(velocities), out
+
+
+def test_whole_episode_matches_reference_virtual_target():
+    cfg = ScenarioConfig(n_vehicles=4, episode_steps=EPISODE_STEPS, perturbation=Perturbation())
+    velocities, _ = side_by_side(cfg, None, seed=3, fprint=False)
+    assert len(velocities) > EPISODE_STEPS // 2
+
+
+def test_whole_episode_matches_reference_trace_replay():
+    # The replayed leader pulls away at 40 m/s, so the first follower's
+    # velocity clip binds at 30 m/s, then stops dead, and the platoon runs
+    # into it.
+    profile = np.concatenate([np.full(30, 15.0), np.full(100, 40.0), np.zeros(EPISODE_STEPS)])
+    cfg = scenario(16, replay=True)
+    velocities, out = side_by_side(cfg, profile, seed=4, fprint=True)
+    assert (velocities[:, 1] == V_MAX).any()
+    assert out.collisions and len(velocities) < EPISODE_STEPS
+
+
+def test_whole_episode_matches_reference_at_the_size_cap():
+    cfg = ScenarioConfig(n_vehicles=64, episode_steps=300, perturbation=Perturbation(start_s=5.0))
+    velocities, out = side_by_side(cfg, None, seed=5, fprint=True)
+    assert len(velocities) == 300 or out.collisions
+
+
+def exact_start(v_end, u, dt=0.1):
+    """A start velocity from which u over dt ends exactly at v_end."""
+    v = v_end - u * dt
+    assert v + u * dt == v_end
+    return v
+
+
+AT_ZERO = (exact_start(V_MIN, U_MIN), U_MIN)
+AT_TOP = (exact_start(V_MAX, U_MAX), U_MAX)
+
+
+@pytest.mark.parametrize(
+    "platoon",
+    [
+        [AT_ZERO, AT_TOP, (15.0, 1.0)],
+        [AT_ZERO, AT_TOP, (29.9, 2.5)],
+        [AT_TOP, (0.1, -2.5), AT_ZERO],
+    ],
+    ids=["bounds-reached", "upper-clip-binds", "lower-clip-binds"],
+)
+def test_travel_ending_exactly_on_a_velocity_bound(platoon):
+    """Velocities that end a step exactly on V_MIN or V_MAX stay unclipped,
+    whether the clip binds on another vehicle of the platoon or on none."""
+    v, u = (np.array(col) for col in zip(*platoon))
+    dt = 0.1
+    spacing, velocity, _ = step_kinematics(np.zeros(len(v)), v, 0.0, 0.0, u, dt)
+    v_prev, u_prev = 0.0, 0.0
+    for i in range(len(v)):
+        dist, v_new = ref_mod.travel(v[i], u[i], dt)
+        assert velocity[i] == v_new
+        state = ref_mod.VehicleState(0.0, v[i], 0.0)
+        want = ref_mod.step_kinematics(state, v_prev, u_prev, u[i], dt)
+        assert spacing[i] == want.spacing_m
+        v_prev, u_prev = v[i], (v_new - v[i]) / dt
+        if i == 0:
+            assert spacing[0] == -dist

@@ -13,6 +13,8 @@
   one rng.choice per agent.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -213,5 +215,13 @@ def test_sampler_rejects_what_rng_choice_rejects(row):
     policy = np.array([[0.25] * N_ACTIONS, row])
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(N_ACTIONS, p=policy[1])
+    with pytest.raises(ValueError):
+        sample_actions(np.random.default_rng(0), policy)
+
+
+def test_sampler_rejects_a_nan_row():
+    policy = [[math.nan, 0.5, 0.5, 0.0], [0.25] * N_ACTIONS]
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(N_ACTIONS, p=policy[0])
     with pytest.raises(ValueError):
         sample_actions(np.random.default_rng(0), policy)
