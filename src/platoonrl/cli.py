@@ -21,7 +21,6 @@ from .env import LOG_FIELDS, N_ACTIONS, PlatoonEnv, ScenarioConfig, obs_dim_for
 from .errors import ConfigError, DataError, FitError
 from .files import write_csv
 from .train import (
-    CHECKPOINT_NAME,
     EvalReport,
     consensus_bench,
     episode_row,
@@ -124,16 +123,10 @@ def _nets_for(
     cfg: RunConfig, checkpoint_dir: str | None, n_agents: int, seed: int
 ) -> tuple[list[nn.AgentNet], str]:
     """Load checkpoints when the directory exists, else fresh seeded networks."""
-    obs_dim = obs_dim_for(cfg.train.obs_mode)
     if checkpoint_dir is not None and Path(checkpoint_dir).exists():
-        nets = load_checkpoints(checkpoint_dir, n_agents)
-        for i, net in enumerate(nets):
-            if net.obs_dim != obs_dim:
-                raise ConfigError(
-                    f"{Path(checkpoint_dir) / CHECKPOINT_NAME.format(i)} takes {net.obs_dim} "
-                    f"observation values, but obs_mode {cfg.train.obs_mode!r} gives {obs_dim}"
-                )
+        nets = load_checkpoints(checkpoint_dir, n_agents, cfg.train.obs_mode)
         return nets, f"checkpoints from {checkpoint_dir}"
+    obs_dim = obs_dim_for(cfg.train.obs_mode)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nets = [nn.init_agent_net(obs_dim, nn.HIDDEN_DIM, N_ACTIONS, rng) for _ in range(n_agents)]
     return nets, "untrained networks (no checkpoint found)"
@@ -198,10 +191,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     leader = None if profile is None else profile.velocities
     out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env = PlatoonEnv(cfg.scenario, leader_profile=leader, **_models(cfg))
     seed = cfg.seeds[0]
     checkpoint_dir = args.checkpoint_dir or str(out / "checkpoints" / f"seed{seed}")
-    nets, source = _nets_for(cfg, checkpoint_dir, env.n_agents, seed)
+    nets, source = _nets_for(cfg, checkpoint_dir, cfg.scenario.n_agents, seed)
     print(f"eval: using {source}")
     report = evaluate(
         nets, cfg.scenario, cfg.train.eval_seeds, obs_mode=cfg.train.obs_mode,
@@ -227,7 +219,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     profile = _leader_profile(args, scenario)
     scenario = replace(scenario, episode_steps=max(1, len(profile) - 1))
     env = PlatoonEnv(scenario, leader_profile=profile.velocities, **_models(cfg))
-    nets, source = _nets_for(cfg, args.checkpoint_dir, env.n_agents, cfg.seeds[0])
+    nets, source = _nets_for(cfg, args.checkpoint_dir, scenario.n_agents, cfg.seeds[0])
     print(f"replay: using {source}")
     ep = rollout(env, nn.stack_nets(nets), cfg.train.obs_mode, scenario.seed)
     row = episode_row(env, scenario.seed, ep.collisions, ep.log)
@@ -249,7 +241,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_consensus_bench(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     protocols = [args.protocol] if args.protocol else ["bdc", "wac", "dcea"]
-    n_agents = cfg.scenario.n_vehicles
+    n_agents = cfg.scenario.n_agents
     rows = consensus_bench(
         protocols=protocols,
         n_agents=n_agents,

@@ -118,6 +118,11 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ConfigError("ScenarioConfig.seed must be non-negative")
 
+    @property
+    def n_agents(self) -> int:
+        """The agent count: every vehicle but a replayed leader."""
+        return self.n_vehicles - 1 if self.leader_mode == "trace-replay" else self.n_vehicles
+
 
 @dataclass(frozen=True)
 class RewardWeights:
@@ -291,9 +296,9 @@ class PlatoonEnv:
                 raise ConfigError("leader profile must be finite")
         else:
             self._leader = _virtual_target(cfg)
-        # The agent vehicles: all but a replayed leader.
-        self.agents = slice(1 if cfg.leader_mode == "trace-replay" else 0, None)
-        n_agents = self.n_agents
+        # The agent vehicles: the last cfg.n_agents.
+        self.agents = slice(cfg.n_vehicles - cfg.n_agents, None)
+        n_agents = cfg.n_agents
         self._power_law = _full_size(_power_law(self.vehicle), cfg.n_vehicles)
         self._reward_law = _reward_law(self.reward, cfg.d_star, cfg.v_star, n_agents)
         self._own_law = _own_law(cfg, n_agents)
@@ -324,7 +329,7 @@ class PlatoonEnv:
 
     @property
     def n_agents(self) -> int:
-        return self.cfg.n_vehicles - self.agents.start
+        return self.cfg.n_agents
 
     def vehicle_values(self) -> np.ndarray:
         """(len(LOG_FIELDS), n_vehicles) copy of the most recent step's (or

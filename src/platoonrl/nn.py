@@ -17,11 +17,12 @@ consensus protocols, the gradient step and the checkpoints share; backward()
 returns its gradient in the same layout.
 
 Agent axis: `params` is one agent's (P,) vector or an (n_agents, P) stack
-with one row per agent, and then every named view, every forward() input
-and output and every backward() seed carries the agent axis in front (after
-the step axis of an episode). Each agent's products are separate BLAS calls
-through np.matmul, the same calls the single-agent form makes, so stacking
-agents does not change any agent's numbers.
+with one row per agent, and then every named view and every forward() input
+and output carries the agent axis in front. backward() takes a stack only,
+with its seeds and activations shaped (T, n_agents, ...). Each agent's
+products are separate BLAS calls through np.matmul, the same calls the
+single-agent form makes, so stacking agents does not change any agent's
+numbers.
 """
 
 from __future__ import annotations
@@ -240,16 +241,14 @@ def forward(
 
 
 def backward(
-    net: AgentNet,
-    records: list[ForwardRecord] | ForwardRecord,
-    d_policy: np.ndarray,
-    d_value: np.ndarray,
+    net: AgentNet, tape: ForwardRecord, d_policy: np.ndarray, d_value: np.ndarray
 ) -> np.ndarray:
-    """Backpropagation through time over one episode of every agent of `net`.
+    """Backpropagation through time over one episode of every agent of an
+    (n_agents, P) stack.
 
-    records are forward()'s records in step order, or one ForwardRecord of
-    the episode with the steps stacked on axis 0. d_policy (T, [n_agents,]
-    n_actions) and d_value (T, [n_agents]) hold dL/dpolicy_t and
+    tape is one ForwardRecord of the episode, forward()'s (n_agents, ...)
+    records stacked on a leading step axis. d_policy (T, n_agents,
+    n_actions) and d_value (T, n_agents) hold dL/dpolicy_t and
     dL/dvalue_t. Returns each agent's parameter gradient summed over all
     steps, shaped like net.params. The softmax Jacobian is applied here, so
     callers express losses directly in terms of the policy probabilities.
@@ -257,24 +256,14 @@ def backward(
     Only the dh/dc recurrence runs step by step, for all agents at once;
     every weight gradient is one product per agent over the whole episode.
     """
+    if net.params.ndim != 2:
+        raise ValueError("backward takes an (n_agents, P) stack; build one with stack_nets")
     d_policy = np.asarray(d_policy, dtype=float)
     d_value = np.asarray(d_value, dtype=float)
-    if not isinstance(records, ForwardRecord):
-        records = ForwardRecord(*map(np.array, zip(*records)))
-    lead = net.params.shape[:-1]
-    n_steps, hd = len(records.policy), net.hidden_dim
-    if d_policy.shape != (n_steps, *lead, net.n_actions) or d_value.shape != (n_steps, *lead):
+    r = tape
+    n_steps, n_agents, hd = len(r.policy), len(net.params), net.hidden_dim
+    if d_policy.shape != (n_steps, n_agents, net.n_actions) or d_value.shape != (n_steps, n_agents):
         raise ValueError(f"loss seeds {d_policy.shape}, {d_value.shape} for {n_steps} steps")
-    if not lead:  # one agent: run it as a stack of one
-        grad = backward(
-            AgentNet(net.obs_dim, hd, net.n_actions, params=net.params[None]),
-            ForwardRecord(*(a[:, None] for a in records)),
-            d_policy[:, None],
-            d_value[:, None],
-        )
-        return grad[0]
-    r = records
-    n_agents = lead[0]
     p = r.policy
     d_logits = p * (d_policy - np.sum(p * d_policy, axis=-1, keepdims=True))
 

@@ -344,12 +344,14 @@ def _save_checkpoints(nets: list[nn.AgentNet], directory: str | Path) -> None:
         nn.save_params(net, directory / CHECKPOINT_NAME.format(i))
 
 
-def load_checkpoints(directory: str | Path, n_agents: int) -> list[nn.AgentNet]:
+def load_checkpoints(directory: str | Path, n_agents: int, obs_mode: str) -> list[nn.AgentNet]:
     """Load the n_agents checkpoints that _save_checkpoints writes, as
-    networks that stack. Raises ConfigError when the directory holds another
-    number of agent checkpoints, and DataError when a checkpoint's action
-    count is not N_ACTIONS, its hidden width differs from agent 0's, or a
-    parameter is not finite."""
+    networks that stack and take obs_mode's observations. Raises ConfigError
+    when the directory holds another number of agent checkpoints, DataError
+    when a checkpoint's action count is not N_ACTIONS, its hidden width
+    differs from agent 0's, or a parameter is not finite, and, once every
+    file has passed those checks, ConfigError when a checkpoint takes
+    another observation width than obs_mode gives."""
     directory = Path(directory)
     found = len(list(directory.glob(CHECKPOINT_NAME.format("*"))))
     if found != n_agents:
@@ -370,6 +372,13 @@ def load_checkpoints(directory: str | Path, n_agents: int) -> list[nn.AgentNet]:
                 f"{CHECKPOINT_NAME.format(0)} {nets[0].hidden_dim}"
             )
         nets.append(net)
+    obs_dim = obs_dim_for(obs_mode)
+    for i, net in enumerate(nets):
+        if net.obs_dim != obs_dim:
+            raise ConfigError(
+                f"{directory / CHECKPOINT_NAME.format(i)} takes {net.obs_dim} "
+                f"observation values, but obs_mode {obs_mode!r} gives {obs_dim}"
+            )
     return nets
 
 

@@ -33,8 +33,6 @@ class VehicleParams:
     air_density: kg/m^3.
     drag_coeff: dimensionless aerodynamic drag coefficient.
     frontal_area_m2: projected frontal area.
-    wheel_radius_m: effective tire rolling radius.
-    gear_ratio: overall reduction, motor shaft to wheel.
     drivetrain_eff: one-way drivetrain efficiency in (0, 1].
     """
 
@@ -43,8 +41,6 @@ class VehicleParams:
     air_density: float = 1.206
     drag_coeff: float = 0.32
     frontal_area_m2: float = 2.455
-    wheel_radius_m: float = 0.337
-    gear_ratio: float = 3.91 * 4.14
     drivetrain_eff: float = 0.9
 
     def __post_init__(self) -> None:
@@ -54,8 +50,6 @@ class VehicleParams:
             "air_density",
             "drag_coeff",
             "frontal_area_m2",
-            "wheel_radius_m",
-            "gear_ratio",
         ):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"VehicleParams.{name} must be strictly positive")

@@ -9,10 +9,13 @@
   every step adds outer products into the gradient, and each loss seed is
   a list of one (dL/dpolicy_t, dL/dvalue_t) pair per step.
 - actor_loss_grads() and critic_loss_grads() build those per-step seeds.
+- one_agent_backward() runs the package's backward() on one agent's net
+  and per-step records, as a stack of one.
 """
 
 import numpy as np
 
+from platoonrl import nn
 from platoonrl.nn import AgentNet, ForwardRecord, Hidden, _sigmoid, _views
 
 
@@ -102,6 +105,16 @@ def matrix_backward(
         "critic_b": d_value.sum(),
     }
     return np.concatenate([np.ravel(grads[name]) for name, _ in net.layout])
+
+
+def one_agent_backward(
+    net: AgentNet, records: list[ForwardRecord], d_policy: np.ndarray, d_value: np.ndarray
+) -> np.ndarray:
+    """nn.backward for one agent: its (P,) gradient from its single-agent
+    records and its (T, n_actions) and (T,) loss seeds."""
+    tape = ForwardRecord(*(np.array(a)[:, None] for a in zip(*records)))
+    seeds = (np.asarray(d, dtype=float)[:, None] for d in (d_policy, d_value))
+    return nn.backward(nn.stack_nets([net]), tape, *seeds)[0]
 
 
 def backward(

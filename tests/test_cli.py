@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from platoonrl.cli import main
+from platoonrl.consensus import comm_bits_per_round
 from platoonrl.nn import init_agent_net, save_params
 
 
@@ -375,6 +376,19 @@ class TestConsensusBenchCli:
         lines = (tmp_path / "cb1" / "consensus_bench.csv").read_text().splitlines()
         assert len(lines) == 7
         assert all(line.split(",")[1] == "wac" for line in lines[1:])
+
+    def test_counts_the_agents_behind_a_replayed_leader(self, tmp_path, capsys):
+        # Four vehicles behind a replayed leader train three agents; the
+        # bench mixes as many.
+        cfg = tmp_path / "replay.yaml"
+        cfg.write_text("scenario: {n_vehicles: 4, leader_mode: trace-replay}\nseeds: [0]\n")
+        assert run_cli(
+            "consensus-bench", "--config", str(cfg), "--protocol", "bdc",
+            "--rounds", "1", "--output-dir", str(tmp_path / "cb3"),
+        ) == 0
+        assert "agents=3 " in capsys.readouterr().out
+        lines = (tmp_path / "cb3" / "consensus_bench.csv").read_text().splitlines()
+        assert int(lines[2].split(",")[3]) == comm_bits_per_round("bdc", 64, 3)
 
     def test_negative_rounds_is_config_error(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "cb2"

@@ -50,6 +50,11 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError, match=r"scenario\.speed: unknown key"):
             config_from_dict({"scenario": {"speed": 20}})
 
+    @pytest.mark.parametrize("key", ["gear_ratio", "wheel_radius_m"])
+    def test_vehicle_knob_that_no_law_reads_is_unknown(self, key):
+        with pytest.raises(ConfigError, match=rf"vehicle\.{key}: unknown key"):
+            config_from_dict({"vehicle": {key: 4.0}})
+
     def test_unknown_consensus_key_names_path(self):
         with pytest.raises(ConfigError, match=r"train\.consensus\.rate: unknown key"):
             config_from_dict({"train": {"consensus": {"rate": 1}}})

@@ -87,6 +87,13 @@ class TestScenarioConfig:
             Perturbation(depth=1.2)
         assert Perturbation(depth=1.0).depth == 1.0
 
+    def test_every_vehicle_but_a_replayed_leader_is_an_agent(self):
+        assert ScenarioConfig(n_vehicles=4).n_agents == 4
+        cfg = ScenarioConfig(n_vehicles=4, leader_mode="trace-replay")
+        assert cfg.n_agents == 3
+        env = PlatoonEnv(cfg, leader_profile=np.full(5, 15.0))
+        assert env.n_agents == 3 and env.agents == slice(1, None)
+
     def test_obs_dims(self):
         assert obs_dim_for("ia2c") == 15
         assert obs_dim_for("fprint") == 23

