@@ -271,35 +271,13 @@ def backward(
         """(T, n_agents, k) as (n_agents, T, k): each agent's episode matrix."""
         return a.swapaxes(0, 1)
 
-    dh_head = by_agent(np.matmul(by_agent(d_logits), net.actor_w))
-    dh_head = dh_head + d_value[..., None] * net.critic_w[:, 0]
-    d_tanh_c = 1.0 - r.tanh_c**2
-    # dz's four gate blocks (input, forget, cell, output) are dc times
-    # gate_g, c_prev and gate_i (dh times tanh_c for the output gate), times
-    # the derivative of the gate's squashing function: s(1 - s) for
-    # sigmoids, 1 - g^2 for tanh. dz starts as those derivatives and the
-    # loop scales each step's rows in place, which keeps the peak memory of
-    # an all-agent episode down.
-    dz = np.empty((n_steps, n_agents, 4, hd))
-    for k, s in ((0, r.gate_i), (1, r.gate_f), (3, r.gate_o)):
-        np.multiply(s, 1.0 - s, out=dz[:, :, k])
-    np.subtract(1.0, r.gate_g**2, out=dz[:, :, 2])
-    dh_next = np.zeros((n_agents, hd))
-    dc_next = np.zeros((n_agents, hd))
-    wh_t = net.lstm_wh.swapaxes(1, 2)
-    for t in range(n_steps - 1, -1, -1):
-        dh = dh_head[t] + dh_next
-        dc = dh * r.gate_o[t] * d_tanh_c[t] + dc_next
-        dz[t, :, 0] *= dc * r.gate_g[t]
-        dz[t, :, 1] *= dc * r.c_prev[t]
-        dz[t, :, 2] *= dc * r.gate_i[t]
-        dz[t, :, 3] *= dh * r.tanh_c[t]
-        dh_next = _mv(wh_t, dz[t].reshape(n_agents, 4 * hd))
-        dc_next = dc * r.gate_f[t]
-    del dh_head, d_tanh_c  # not needed for the weight products
-    dz = dz.reshape(n_steps, n_agents, 4 * hd)
+    dz = _gate_grads(net, r, d_logits, d_value)
     d_pre = np.matmul(by_agent(dz), net.lstm_wx)
-    d_pre *= 1.0 - by_agent(r.x) ** 2
+    # Times tanh's derivative 1 - x^2, built in one buffer that is freed
+    # before the weight products.
+    d_x = np.square(r.x)
+    d_pre *= by_agent(np.subtract(1.0, d_x, out=d_x))
+    del d_x
     dz_t, d_logits_t = (by_agent(a).swapaxes(1, 2) for a in (dz, d_logits))
     # Each agent's critic seeds in one contiguous row, as a single agent's
     # are: their sum is then pairwise and their product with h_new takes the
@@ -319,6 +297,59 @@ def backward(
     return np.concatenate(
         [grads[name].reshape(n_agents, -1) for name, _ in net.layout], axis=1
     )
+
+
+def _gate_grads(
+    net: AgentNet, r: ForwardRecord, d_logits: np.ndarray, d_value: np.ndarray
+) -> np.ndarray:
+    """dL/dz, the LSTM pre-activations' gradient, of every step and agent,
+    (T, n_agents, 4 * hidden_dim): backward()'s dh/dc recurrence, run step
+    by step for all agents at once. Its episode-sized intermediates are
+    built in place and die on return, with the per-step views the loop
+    leaves bound, before backward() forms the weight products."""
+    n_steps, n_agents, hd = len(r.policy), len(net.params), net.hidden_dim
+    # dz is allocated before dh_head and d_tanh_c, which die on return. In
+    # the other order, 4 of 6 train-n4 benchmark runs peaked about 3 MB
+    # higher in RSS (where the heap places the buffers).
+    dz = np.empty((n_steps, n_agents, 4, hd))
+    dh_head = np.matmul(d_logits.swapaxes(0, 1), net.actor_w).swapaxes(0, 1)
+    # The critic term is built in d_tanh_c's buffer, which is then free to
+    # take 1 - tanh_c^2.
+    d_tanh_c = np.multiply(d_value[..., None], net.critic_w[:, 0])
+    dh_head += d_tanh_c
+    np.square(r.tanh_c, out=d_tanh_c)
+    np.subtract(1.0, d_tanh_c, out=d_tanh_c)
+    # dz's four gate blocks (input, forget, cell, output) are dc times
+    # gate_g, c_prev and gate_i (dh times tanh_c for the output gate), times
+    # the derivative of the gate's squashing function: s(1 - s) for
+    # sigmoids, 1 - g^2 for tanh. dz starts as those derivatives and the
+    # loop scales each step's rows in place, which keeps the peak memory of
+    # an all-agent episode down.
+    for k, s in ((0, r.gate_i), (1, r.gate_f), (3, r.gate_o)):
+        np.subtract(1.0, s, out=dz[:, :, k])
+        dz[:, :, k] *= s
+    np.square(r.gate_g, out=dz[:, :, 2])
+    np.subtract(1.0, dz[:, :, 2], out=dz[:, :, 2])
+    dh_next = np.zeros((n_agents, hd))
+    dc_next = np.zeros((n_agents, hd))
+    wh_t = net.lstm_wh.swapaxes(1, 2)
+    dz_flat = dz.reshape(n_steps, n_agents, 4 * hd)
+    per_step = (
+        dh_head, d_tanh_c, r.gate_i, r.gate_f, r.gate_g, r.gate_o, r.c_prev, r.tanh_c,
+        *(dz[:, :, k] for k in range(4)), dz_flat,
+    )
+    for dh_h, d_tc, g_i, g_f, g_g, g_o, c_prev, tanh_c, dz_i, dz_f, dz_g, dz_o, dz_t in zip(
+        *(a[::-1] for a in per_step)
+    ):
+        dh = dh_h + dh_next
+        dc = dh * g_o * d_tc + dc_next
+        dz_i *= dc * g_g
+        dz_f *= dc * c_prev
+        dz_g *= dc * g_i
+        dz_o *= dh * tanh_c
+        dh_next = _mv(wh_t, dz_t)
+        dc_next = dc * g_f
+    return dz_flat
 
 
 def flatten_params(net: AgentNet) -> np.ndarray:

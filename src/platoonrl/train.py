@@ -36,8 +36,11 @@ from .ovm import OvmParams
 from .vehicle import VehicleParams
 
 
-# How far a policy's sum may be from 1, as rng.choice allows.
-_SUM_TOL = np.sqrt(np.finfo(float).eps)
+# The sums a policy may have, as rng.choice allows: within sqrt(eps) =
+# 2**-26 of 1. Both ends are exact doubles, and so is s - 1 for any s near
+# them, so s passes exactly when abs(s - 1) <= sqrt(eps).
+_SUM_TOL = float(np.sqrt(np.finfo(float).eps))
+_SUM_LOW, _SUM_HIGH = 1.0 - _SUM_TOL, 1.0 + _SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,9 @@ class Episode:
     the log's agent columns); the forward activations, a ForwardRecord of
     (steps, n_agents, ...) arrays (None for greedy play); the
     colliding-agent count; and the vehicle log, shaped (len(LOG_FIELDS),
-    steps, n_vehicles), of env.vehicle_values() per step."""
+    steps, n_vehicles), of env.vehicle_values() per step. When the rollout
+    wrote into a caller's tape, `tape` holds views of its first rows, valid
+    only until the next rollout into that tape."""
 
     actions: np.ndarray
     values: np.ndarray
@@ -138,14 +143,26 @@ def sample_actions(rng: np.random.Generator, policy: np.ndarray) -> np.ndarray:
     the same cumulative sums, uniforms and right-side search. Raises
     ValueError, as rng.choice does, on a row that has a negative or nan
     entry or does not sum to 1."""
-    cdf = np.cumsum(policy, axis=1)
-    # fmin skips nan, but a nan entry makes its row's sum nan, which
-    # maximum propagates and which fails the comparison.
-    lowest = np.fmin.reduce(policy, axis=None)
-    if lowest < 0.0 or not np.maximum.reduce(np.abs(cdf[:, -1] - 1.0)) <= _SUM_TOL:
+    policy = np.asarray(policy)
+    cdf = policy.cumsum(axis=1)
+    totals = cdf[:, -1].tolist()
+    # min() is nan when an entry is, which fails the sign test; the totals
+    # are then free of nan, so their min and max bound every one.
+    if not (policy.min() >= 0.0 and _SUM_LOW <= min(totals) and max(totals) <= _SUM_HIGH):
         raise ValueError("probabilities must be non-negative and sum to 1")
     cdf /= cdf[:, -1:]
-    return np.sum(cdf <= rng.random(len(policy))[:, None], axis=1)
+    return (cdf <= rng.random(len(policy))[:, None]).sum(axis=1)
+
+
+def _episode_tape(n_steps: int, net: nn.AgentNet) -> nn.ForwardRecord:
+    """Uninitialised buffers for up to n_steps of forward activations of the
+    agent-batched `net`: one (n_steps, n_agents, width) array per
+    ForwardRecord field."""
+    widths = {"obs": net.obs_dim, "policy": net.n_actions}
+    shape = (n_steps, len(net.params))
+    return nn.ForwardRecord(
+        *(np.empty((*shape, widths.get(f, net.hidden_dim))) for f in nn.ForwardRecord._fields)
+    )
 
 
 def rollout(
@@ -154,18 +171,23 @@ def rollout(
     obs_mode: str,
     episode_seed: int | None,
     rng: np.random.Generator | None = None,
+    tape: nn.ForwardRecord | None = None,
 ) -> Episode:
     """Run one episode with the agent-batched `net`, one parameter row per
     agent and one forward call per step. With rng, actions are sampled from
     the policies and the episode keeps the forward activations for
-    learning; without, play is greedy (argmax, lowest index wins ties) and
-    keeps none."""
+    learning. They go into `tape`, a ForwardRecord of (at least
+    episode_steps, n_agents, width) buffers that train allocates once per
+    run, or into a fresh one; the episode's tape is then a view of the rows
+    it wrote, valid only until the next rollout into the same tape. Without
+    rng, play is greedy (argmax, lowest index wins ties) and keeps none."""
     obs = env.reset(seed=episode_seed)
     obs_dim = obs_dim_for(obs_mode)
     n_steps, n_agents = env.cfg.episode_steps, env.n_agents
     zeros = np.zeros((n_agents, net.hidden_dim))
     hidden = nn.Hidden(h=zeros, c=zeros)
-    tape = None
+    if rng is not None and tape is None:
+        tape = _episode_tape(n_steps, net)
     actions = np.empty((n_steps, n_agents), dtype=np.intp)
     values = np.empty((n_steps, n_agents))
     log = np.empty((len(LOG_FIELDS), n_steps, env.n_vehicles))
@@ -175,8 +197,6 @@ def rollout(
             actions[t] = np.argmax(policy, axis=1)
         else:
             actions[t] = sample_actions(rng, policy)
-            if tape is None:
-                tape = nn.ForwardRecord(*(np.empty((n_steps, *a.shape)) for a in record))
             for buf, a in zip(tape, record):
                 buf[t] = a
         outcome = env.step(actions[t], policy if obs_mode == "fprint" else None)
@@ -189,7 +209,7 @@ def rollout(
         actions=actions[: t + 1],
         values=values[: t + 1],
         rewards=log[LOG_FIELDS.index("reward"), :, env.agents],
-        tape=None if tape is None else nn.ForwardRecord(*(a[: t + 1] for a in tape)),
+        tape=None if rng is None else nn.ForwardRecord(*(a[: t + 1] for a in tape)),
         collisions=outcome.collisions,
         log=log,
     )
@@ -255,16 +275,16 @@ def _train_episode(
     net: nn.AgentNet,
     residuals: list[np.ndarray] | None,
     rng: np.random.Generator,
+    tape: nn.ForwardRecord,
     episode: int,
     steps_done: int,
     comm_bits: int,
 ) -> LogRow:
-    """One training episode: a sampled rollout, every agent's update, then a
-    consensus round when one is due. The episode's arrays and forward
-    activations are released on return, before the next rollout allocates
-    its own."""
+    """One training episode: a sampled rollout into the run's `tape`, every
+    agent's update, then a consensus round when one is due. The episode's
+    other arrays are released on return."""
     ep_seed = int(rng.integers(0, 2**63 - 1))
-    ep = rollout(env, net, cfg.obs_mode, ep_seed, rng)
+    ep = rollout(env, net, cfg.obs_mode, ep_seed, rng, tape)
     _update(cfg, net, ep, residuals, episode)
     if cfg.consensus.protocol != "none" and episode % cfg.consensus.period == 0:
         net.params[...] = apply_consensus(
@@ -315,11 +335,16 @@ def train(
     residuals = None
     if cfg.compress_gradients:
         residuals = [np.zeros_like(net.params), np.zeros_like(net.params)]
+    # Every episode's forward activations go into this one tape, so no
+    # episode pays for fresh pages.
+    tape = _episode_tape(env.cfg.episode_steps, net)
     log: list[LogRow] = []
     steps_done = comm_bits = episode = 0
     while steps_done < cfg.total_steps:
         episode += 1
-        row = _train_episode(cfg, env, net, residuals, rng, episode, steps_done, comm_bits)
+        row = _train_episode(
+            cfg, env, net, residuals, rng, tape, episode, steps_done, comm_bits
+        )
         log.append(row)
         steps_done, comm_bits = row.steps, row.comm_bits_cum
         if (

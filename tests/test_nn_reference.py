@@ -195,7 +195,7 @@ def random_policies(rng, n_agents):
 @pytest.mark.parametrize("seed", range(20))
 def test_sampler_matches_rng_choice(seed):
     rng = np.random.default_rng(seed)
-    n_agents = int(rng.integers(1, 9))
+    n_agents = int(rng.integers(1, 65))
     ours = np.random.default_rng(seed + 1000)
     theirs = np.random.default_rng(seed + 1000)
     for _ in range(200):

@@ -1,20 +1,26 @@
-"""Trainer: returns, episode accounting, determinism, mixing, evaluation."""
+"""Trainer: returns, episode accounting, determinism, mixing, evaluation,
+and the episode buffers' lifetime and memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from platoonrl import nn
 from platoonrl.consensus import ConsensusConfig, comm_bits_per_round
-from platoonrl.env import PlatoonEnv, ScenarioConfig
+from platoonrl.env import N_ACTIONS, PlatoonEnv, ScenarioConfig
 from platoonrl.errors import ConfigError
 from platoonrl.nn import flatten_params, param_count
 from platoonrl.train import (
     EvalReport,
     TrainConfig,
+    _episode_tape,
     compare_protocols,
     consensus_bench,
     discounted_returns,
     evaluate,
     load_checkpoints,
+    rollout,
     train,
     write_consensus_bench,
     write_train_log,
@@ -163,6 +169,58 @@ class TestTrain:
         train(tiny_train(), tiny_scenario(), hidden_dim=8, checkpoint_dir=tmp_path)
         with pytest.raises(ConfigError, match=r"agent0\.npz takes 15 .* 'fprint' gives 23"):
             load_checkpoints(tmp_path, 2, "fprint")
+
+
+def stacked_net(n_agents, hidden_dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return nn.stack_nets(
+        [nn.init_agent_net(15, hidden_dim, N_ACTIONS, rng) for _ in range(n_agents)]
+    )
+
+
+class TestEpisodeBuffers:
+    def test_reused_tape_gives_the_fresh_tape_episode(self):
+        # Sampled on this net, seed 2 runs all 600 steps and seed 3 collides
+        # after 480, so the second rollout leaves 120 of the first one's
+        # rows in the tape, past the end of its own episode.
+        env = PlatoonEnv(ScenarioConfig())
+        net = stacked_net(env.n_agents, 8)
+        tape = _episode_tape(env.cfg.episode_steps, net)
+        for seed, steps in ((2, 600), (3, 480)):
+            got = rollout(env, net, "ia2c", seed, np.random.default_rng(seed), tape)
+            want = rollout(env, net, "ia2c", seed, np.random.default_rng(seed))
+            assert len(got.actions) == steps
+            assert got.collisions == want.collisions
+            for name in ("actions", "values", "rewards", "log"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for name, a, b, buf in zip(nn.ForwardRecord._fields, got.tape, want.tape, tape):
+                assert np.shares_memory(a, buf), name
+                assert a.shape == b.shape and np.array_equal(a, b), name
+
+    def test_backward_peak_memory(self):
+        # One full 600-step, 4-agent, hidden-64 episode (no perturbation,
+        # no jitter: nothing collides). backward builds dz, the heads' dL/dh
+        # and 1 - tanh(c)^2 in place, for a peak of about 8.05 MiB. An
+        # episode-sized temporary in that build, or a per-step view that
+        # keeps the latter two alive into the weight products, passes 8.34.
+        env = PlatoonEnv(
+            ScenarioConfig(perturbation=None, init_spacing_jitter=0.0, init_velocity_jitter=0.0)
+        )
+        net = stacked_net(env.n_agents, 64)
+        rng = np.random.default_rng(0)
+        ep = rollout(env, net, "ia2c", 0, rng)
+        assert len(ep.actions) == 600
+        d_policy = rng.normal(size=ep.tape.policy.shape)
+        d_value = rng.normal(size=ep.values.shape)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            nn.backward(net, ep.tape, d_policy, d_value)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.34 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestTrainLog:
