@@ -91,9 +91,10 @@ class ConsensusConfig:
 
 def ternary_quantize(x: np.ndarray, tau: float = 0.0) -> np.ndarray:
     """Elementwise sign with a dead zone: -1 where x < -tau, +1 where
-    x > tau, else 0. Idempotent for tau < 1."""
+    x > tau, else 0. Idempotent for tau < 1. One pass: the two masks'
+    difference, taken in float."""
     x = np.asarray(x, dtype=float)
-    return np.where(x > tau, 1.0, 0.0) + np.where(x < -tau, -1.0, 0.0)
+    return np.subtract(x > tau, x < -tau, dtype=float)
 
 
 def _stack_weights(

@@ -5,8 +5,11 @@ one LSTM cell (hidden_dim -> hidden_dim), a softmax actor head over the
 discrete actions and a scalar critic head, both read from the LSTM output.
 
 Everything is float64 numpy. The recurrent state is an explicit (h, c) pair
-carried by the caller; forward() mutates nothing, so identical inputs always
-produce identical outputs.
+carried by the caller; forward() mutates nothing but the `out` record it
+may be given to write into, so identical inputs always produce identical
+outputs. Given one, such as a row of a training episode's tape, it computes
+the step's activations straight into those arrays, with the same
+arithmetic and so the same bits as into fresh ones.
 
 Parameter buffer: an AgentNet owns one float64 array, `params`, and its
 named weight arrays are views into it, so writing either one changes both.
@@ -181,17 +184,21 @@ def zero_hidden(hidden_dim: int) -> Hidden:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The gate sigmoid; forward() takes the same steps in place."""
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _mv(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _mv(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """w @ v per agent: (..., m, k) matrices times (..., k) vectors, one BLAS
-    matrix-vector product per agent."""
-    return np.matmul(w, v[..., None])[..., 0]
+    matrix-vector product per agent, written into `out` when one is given."""
+    if out is None:
+        return np.matmul(w, v[..., None])[..., 0]
+    np.matmul(w, v[..., None], out=out[..., None])
+    return out
 
 
 def forward(
-    net: AgentNet, obs: np.ndarray, hidden: Hidden
+    net: AgentNet, obs: np.ndarray, hidden: Hidden, out: ForwardRecord | None = None
 ) -> tuple[np.ndarray, float | np.ndarray, Hidden, ForwardRecord]:
     """One step of every agent of `net`: returns (policy, value, new_hidden,
     record), each with the net's agent axis in front.
@@ -200,42 +207,64 @@ def forward(
     subtraction, so it is invariant to shifting all logits); value is the
     critic output, a float for a single-agent net; record holds what
     backward() needs.
+
+    out, when given, is a ForwardRecord of writable float64 arrays shaped
+    as the record this step returns, such as one step's row of an episode
+    tape. The step is computed straight into its arrays, which are then
+    the returned record's fields, policy and new_hidden.h. Only obs,
+    hidden.h and hidden.c are copied in, to out.obs, out.h_prev and
+    out.c_prev; each of those may share memory with the array it receives
+    (a copy onto itself is skipped), and out.h_new may share memory with
+    hidden.h. No other field of out may overlap obs or hidden. Without out,
+    the record's fields are fresh arrays but for obs (as a float array),
+    hidden.h and hidden.c, which are its obs, h_prev and c_prev.
     """
     obs = np.asarray(obs, dtype=float)
-    shape = net.params.shape[:-1] + (net.obs_dim,)
-    if obs.shape != shape:
-        raise ValueError(f"expected obs shape {shape}, got {obs.shape}")
-    hd = net.hidden_dim
-    x = np.tanh(_mv(net.input_w, obs) + net.input_b)
-    z = _mv(net.lstm_wx, x) + _mv(net.lstm_wh, hidden.h) + net.lstm_b
-    # One sigmoid over all four gate blocks; the cell gate's is unused.
-    gates = _sigmoid(z)
-    gate_i = gates[..., :hd]
-    gate_f = gates[..., hd : 2 * hd]
-    gate_g = np.tanh(z[..., 2 * hd : 3 * hd])
-    gate_o = gates[..., 3 * hd :]
-    c_new = gate_f * hidden.c + gate_i * gate_g
-    tanh_c = np.tanh(c_new)
-    h_new = gate_o * tanh_c
-    logits = _mv(net.actor_w, h_new) + net.actor_b
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    exp_l = np.exp(logits)
-    policy = exp_l / exp_l.sum(axis=-1, keepdims=True)
+    lead, hd = net.params.shape[:-1], net.hidden_dim
+    if obs.shape != lead + (net.obs_dim,):
+        raise ValueError(f"expected obs shape {lead + (net.obs_dim,)}, got {obs.shape}")
+    if out is None:
+        # Nothing to write into: each step below allocates its result.
+        out = ForwardRecord(obs, None, hidden.h, hidden.c, *(None,) * 7)
+    else:
+        out.obs[...] = obs
+        out.h_prev[...] = hidden.h
+        out.c_prev[...] = hidden.c
+    x = _mv(net.input_w, out.obs, out.x)
+    x += net.input_b
+    np.tanh(x, out=x)
+    z = _mv(net.lstm_wx, x)
+    z += _mv(net.lstm_wh, out.h_prev)
+    z += net.lstm_b
+    # Gate-major: each gate's block of every agent in one contiguous array.
+    z = np.ascontiguousarray(z.reshape(lead + (4, hd)).swapaxes(0, -2))
+    # The cell gate is tanh(z); the other three are _sigmoid(z), taken over
+    # all four blocks at once up to the final halving, which writes each
+    # gate.
+    gate_g = np.tanh(z[2], out=out.gate_g)
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    gate_i = np.multiply(z[0], 0.5, out=out.gate_i)
+    gate_f = np.multiply(z[1], 0.5, out=out.gate_f)
+    gate_o = np.multiply(z[3], 0.5, out=out.gate_o)
+    # c_new = gate_f * c_prev + gate_i * gate_g, with the second product
+    # held in tanh_c's buffer until tanh(c_new) replaces it.
+    c_new = gate_f * out.c_prev
+    tanh_c = np.multiply(gate_i, gate_g, out=out.tanh_c)
+    c_new += tanh_c
+    np.tanh(c_new, out=tanh_c)
+    h_new = np.multiply(gate_o, tanh_c, out=out.h_new)
+    policy = _mv(net.actor_w, h_new, out.policy)
+    policy += net.actor_b
+    policy -= np.maximum.reduce(policy, axis=-1, keepdims=True)
+    np.exp(policy, out=policy)
+    policy /= np.add.reduce(policy, axis=-1, keepdims=True)
     value = (_mv(net.critic_w, h_new) + net.critic_b)[..., 0]
     if not (np.isfinite(policy).all() and np.isfinite(value).all()):
         raise FloatingPointError("non-finite network output")
     record = ForwardRecord(
-        obs=obs,
-        x=x,
-        h_prev=hidden.h,
-        c_prev=hidden.c,
-        gate_i=gate_i,
-        gate_f=gate_f,
-        gate_g=gate_g,
-        gate_o=gate_o,
-        tanh_c=tanh_c,
-        h_new=h_new,
-        policy=policy,
+        out.obs, x, out.h_prev, out.c_prev, gate_i, gate_f, gate_g, gate_o, tanh_c, h_new, policy
     )
     return policy, value[()], Hidden(h=h_new, c=c_new), record
 

@@ -8,6 +8,7 @@ LSTM carry reset at every episode start.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -144,25 +145,37 @@ def sample_actions(rng: np.random.Generator, policy: np.ndarray) -> np.ndarray:
     ValueError, as rng.choice does, on a row that has a negative or nan
     entry or does not sum to 1."""
     policy = np.asarray(policy)
-    cdf = policy.cumsum(axis=1)
+    # Called as ufunc methods: ndarray's min and sum go through Python
+    # wrappers, and cumsum is add.accumulate at a higher call cost.
+    cdf = np.add.accumulate(policy, axis=1)
     totals = cdf[:, -1].tolist()
-    # min() is nan when an entry is, which fails the sign test; the totals
+    # The min is nan when an entry is, which fails the sign test; the totals
     # are then free of nan, so their min and max bound every one.
-    if not (policy.min() >= 0.0 and _SUM_LOW <= min(totals) and max(totals) <= _SUM_HIGH):
+    if not (
+        np.minimum.reduce(policy, axis=None) >= 0.0
+        and _SUM_LOW <= min(totals)
+        and max(totals) <= _SUM_HIGH
+    ):
         raise ValueError("probabilities must be non-negative and sum to 1")
     cdf /= cdf[:, -1:]
-    return (cdf <= rng.random(len(policy))[:, None]).sum(axis=1)
+    return np.add.reduce(cdf <= rng.random(len(policy))[:, None], axis=1)
 
 
 def _episode_tape(n_steps: int, net: nn.AgentNet) -> nn.ForwardRecord:
     """Uninitialised buffers for up to n_steps of forward activations of the
     agent-batched `net`: one (n_steps, n_agents, width) array per
-    ForwardRecord field."""
+    ForwardRecord field. h_prev and h_new are the first and last n_steps
+    rows of one (n_steps + 1)-row buffer, so a step's h_new is the next
+    step's h_prev in place."""
+    n_agents, hd = len(net.params), net.hidden_dim
     widths = {"obs": net.obs_dim, "policy": net.n_actions}
-    shape = (n_steps, len(net.params))
-    return nn.ForwardRecord(
-        *(np.empty((*shape, widths.get(f, net.hidden_dim))) for f in nn.ForwardRecord._fields)
-    )
+    h = np.empty((n_steps + 1, n_agents, hd))
+    buffers = {
+        f: np.empty((n_steps, n_agents, widths.get(f, hd)))
+        for f in nn.ForwardRecord._fields
+        if f not in ("h_prev", "h_new")
+    }
+    return nn.ForwardRecord(**buffers, h_prev=h[:-1], h_new=h[1:])
 
 
 def rollout(
@@ -176,11 +189,12 @@ def rollout(
     """Run one episode with the agent-batched `net`, one parameter row per
     agent and one forward call per step. With rng, actions are sampled from
     the policies and the episode keeps the forward activations for
-    learning. They go into `tape`, a ForwardRecord of (at least
-    episode_steps, n_agents, width) buffers that train allocates once per
-    run, or into a fresh one; the episode's tape is then a view of the rows
-    it wrote, valid only until the next rollout into the same tape. Without
-    rng, play is greedy (argmax, lowest index wins ties) and keeps none."""
+    learning. Each step's forward call writes them straight into row t of
+    `tape`, a ForwardRecord of (at least episode_steps, n_agents, width)
+    buffers that train allocates once per run (see _episode_tape), or of a
+    fresh one; the episode's tape is then a view of the rows it wrote,
+    valid only until the next rollout into the same tape. Without rng, play
+    is greedy (argmax, lowest index wins ties) and keeps none."""
     obs = env.reset(seed=episode_seed)
     obs_dim = obs_dim_for(obs_mode)
     n_steps, n_agents = env.cfg.episode_steps, env.n_agents
@@ -188,17 +202,19 @@ def rollout(
     hidden = nn.Hidden(h=zeros, c=zeros)
     if rng is not None and tape is None:
         tape = _episode_tape(n_steps, net)
+    elif rng is not None and min(map(len, tape)) < n_steps:
+        raise ValueError(f"tape holds fewer than the episode's {n_steps} steps")
     actions = np.empty((n_steps, n_agents), dtype=np.intp)
     values = np.empty((n_steps, n_agents))
     log = np.empty((len(LOG_FIELDS), n_steps, env.n_vehicles))
-    for t in range(n_steps):
-        policy, values[t], hidden, record = nn.forward(net, obs[:, :obs_dim], hidden)
+    # Sampled, forward writes step t straight into row t of the tape.
+    rows = itertools.repeat(None) if rng is None else map(nn.ForwardRecord._make, zip(*tape))
+    for t, out in zip(range(n_steps), rows):
+        policy, values[t], hidden, _ = nn.forward(net, obs[:, :obs_dim], hidden, out)
         if rng is None:
             actions[t] = np.argmax(policy, axis=1)
         else:
             actions[t] = sample_actions(rng, policy)
-            for buf, a in zip(tape, record):
-                buf[t] = a
         outcome = env.step(actions[t], policy if obs_mode == "fprint" else None)
         log[:, t] = env.vehicle_values()
         if outcome.done:

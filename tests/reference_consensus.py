@@ -2,12 +2,19 @@
 
 Each agent's new vector is built by walking its neighbor list, the way the
 package computed a round before it became one graph-matrix product.
-Property tests hold the products to these loops.
+Property tests hold the products to these loops. The ternary quantizer is
+the package's earlier two-`where` form, which its one-pass form must match
+bit for bit.
 """
 
 import numpy as np
 
-from platoonrl.consensus import NeighborGraph, ternary_quantize
+from platoonrl.consensus import NeighborGraph
+
+
+def ternary_quantize(x: np.ndarray, tau: float = 0.0) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.where(x > tau, 1.0, 0.0) + np.where(x < -tau, -1.0, 0.0)
 
 
 def bdc_round(

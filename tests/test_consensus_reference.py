@@ -3,13 +3,14 @@
 bdc multiplies the Laplacian by ternary vectors, whose sums of small
 integers are exact, so it must be bit-equal to the loop. wac and dcea sum
 real-valued neighbor vectors in another order than the loops, so they must
-agree within 1e-14 of the largest weight magnitude.
+agree within 1e-14 of the largest weight magnitude. The one-pass ternary
+quantizer must be bit-equal to the two-`where` form it replaced.
 """
 
 import numpy as np
 import pytest
 
-from platoonrl.consensus import NeighborGraph, bdc_round, dcea_round, wac_round
+from platoonrl.consensus import NeighborGraph, bdc_round, dcea_round, ternary_quantize, wac_round
 
 import reference_consensus as ref
 
@@ -45,3 +46,23 @@ def test_rounds_match_per_agent_loops(case):
     assert np.array_equal(got, np.array(ref.bdc_round(ws, eps, tau, graph)))
     assert np.max(np.abs(wac_round(ws, graph) - np.array(ref.wac_round(ws, graph)))) <= tol
     assert np.max(np.abs(dcea_round(ws, eps, graph) - np.array(ref.dcea_round(ws, eps, graph)))) <= tol
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -0.5]
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.0, 0.5, 1.0, -0.5, 5e-324, np.inf, -np.inf, np.nan])
+def test_quantizer_matches_where_form(tau):
+    rng = np.random.default_rng(3)
+    x = np.concatenate([
+        SPECIAL,
+        rng.normal(size=2000),
+        rng.normal(scale=1e-300, size=200),
+        rng.choice([-1.0, -0.5, 0.5, 1.0], size=200),
+    ])
+    rng.shuffle(x)
+    for arr in (x, x[:2400].reshape(4, -1), x[::3]):
+        got, want = ternary_quantize(arr, tau), ref.ternary_quantize(arr, tau)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # Bytes, so that a -0.0 against a 0.0 would show.
+        assert got.tobytes() == want.tobytes()

@@ -9,6 +9,9 @@
   two gradients must agree within 1e-12 of the gradient's largest entry.
 - The loss seeds train builds as arrays must be bit-equal to the
   reference's per-step lists.
+- forward() with an `out` record must give the bits it gives without one,
+  write every record field into `out`, and leave its inputs alone, also
+  when `out` shares its carry rows with `hidden` as a training tape does.
 - The batched action sampler must give the actions and generator state of
   one rng.choice per agent.
 """
@@ -19,7 +22,14 @@ import numpy as np
 import pytest
 
 from platoonrl import nn
-from platoonrl.train import TrainConfig, _update, discounted_returns, rollout, sample_actions
+from platoonrl.train import (
+    TrainConfig,
+    _episode_tape,
+    _update,
+    discounted_returns,
+    rollout,
+    sample_actions,
+)
 from platoonrl.env import N_ACTIONS, PlatoonEnv, ScenarioConfig
 
 import reference_nn as ref
@@ -181,6 +191,72 @@ def test_batched_backward_rejects_seed_shapes():
         nn.backward(stacked, tape, np.zeros((4, N_ACTIONS)), np.zeros(4))
     with pytest.raises(ValueError):
         nn.backward(stacked, tape, np.zeros((4, 2, N_ACTIONS)), np.zeros((4, 2)))
+
+
+def forward_net(n_agents, hidden_dim, rng):
+    """A stack of n_agents nets, or one unstacked net when n_agents is None,
+    with heads scaled up so that the softmax is far from uniform."""
+    nets = [nn.init_agent_net(OBS_DIM, hidden_dim, N_ACTIONS, rng) for _ in range(n_agents or 1)]
+    net = nets[0] if n_agents is None else nn.stack_nets(nets)
+    net.actor_w *= 40.0
+    net.critic_w *= 40.0
+    return net
+
+
+def assert_same_step(got, want):
+    """Two forward() results hold the same bits."""
+    (g_policy, g_value, g_hidden, g_record), (w_policy, w_value, w_hidden, w_record) = got, want
+    assert np.array_equal(g_policy, w_policy)
+    assert np.array_equal(g_value, w_value)
+    assert np.array_equal(g_hidden.h, w_hidden.h) and np.array_equal(g_hidden.c, w_hidden.c)
+    for name, g, w in zip(nn.ForwardRecord._fields, g_record, w_record):
+        assert g.shape == w.shape and np.array_equal(g, w), name
+
+
+@pytest.mark.parametrize("n_agents", [None, 1, 4, 64])
+@pytest.mark.parametrize("hidden_dim", [8, 64])
+def test_forward_into_out_is_bit_equal(n_agents, hidden_dim):
+    rng = np.random.default_rng(7 * hidden_dim + (n_agents or 0))
+    net = forward_net(n_agents, hidden_dim, rng)
+    lead = () if n_agents is None else (n_agents,)
+    width = lead + (hidden_dim,)
+    hidden = nn.Hidden(h=rng.uniform(-1, 1, width), c=rng.normal(size=width))
+    for _ in range(5):
+        obs = rng.normal(scale=3.0, size=lead + (OBS_DIM,))
+        inputs = [a.copy() for a in (obs, hidden.h, hidden.c)]
+        want = nn.forward(net, obs, hidden)
+        out = nn.ForwardRecord(*(np.full(a.shape, np.nan) for a in want[3]))
+        got = nn.forward(net, obs, hidden, out)
+        assert_same_step(got, want)
+        for name, g, buf in zip(nn.ForwardRecord._fields, got[3], out):
+            assert g is buf, name
+        assert got[0] is out.policy and got[2].h is out.h_new
+        for before, now in zip(inputs, (obs, hidden.h, hidden.c)):
+            assert np.array_equal(before, now)
+        hidden = got[2]
+
+
+@pytest.mark.parametrize("n_agents", [1, 4, 64])
+def test_forward_into_a_shifted_carry(n_agents):
+    # A training tape keeps h in one (T + 1)-row buffer: row t is step t's
+    # h_prev and step t-1's h_new, so each step's carry is already in place.
+    rng = np.random.default_rng(n_agents)
+    net = forward_net(n_agents, 8, rng)
+    n_steps = 6
+    tape = _episode_tape(n_steps, net)
+    assert np.shares_memory(tape.h_prev[1:], tape.h_new[:-1])
+    for buf in tape:
+        buf.fill(np.nan)
+    fresh = aliased = nn.Hidden(h=np.zeros((n_agents, 8)), c=np.zeros((n_agents, 8)))
+    for t in range(n_steps):
+        obs = rng.normal(size=(n_agents, OBS_DIM))
+        want = nn.forward(net, obs, fresh)
+        out = nn.ForwardRecord(*(a[t] for a in tape))
+        got = nn.forward(net, obs, aliased, out)
+        assert_same_step(got, want)
+        for name, buf, w in zip(nn.ForwardRecord._fields, out, want[3]):
+            assert np.array_equal(buf, w), name
+        fresh, aliased = want[2], got[2]
 
 
 def random_policies(rng, n_agents):

@@ -8,7 +8,7 @@ import pytest
 
 from platoonrl import nn
 from platoonrl.consensus import ConsensusConfig, comm_bits_per_round
-from platoonrl.env import N_ACTIONS, PlatoonEnv, ScenarioConfig
+from platoonrl.env import N_ACTIONS, PlatoonEnv, ScenarioConfig, obs_dim_for
 from platoonrl.errors import ConfigError
 from platoonrl.nn import flatten_params, param_count
 from platoonrl.train import (
@@ -171,10 +171,10 @@ class TestTrain:
             load_checkpoints(tmp_path, 2, "fprint")
 
 
-def stacked_net(n_agents, hidden_dim, seed=0):
+def stacked_net(n_agents, hidden_dim, seed=0, obs_dim=15):
     rng = np.random.default_rng(seed)
     return nn.stack_nets(
-        [nn.init_agent_net(15, hidden_dim, N_ACTIONS, rng) for _ in range(n_agents)]
+        [nn.init_agent_net(obs_dim, hidden_dim, N_ACTIONS, rng) for _ in range(n_agents)]
     )
 
 
@@ -196,6 +196,44 @@ class TestEpisodeBuffers:
             for name, a, b, buf in zip(nn.ForwardRecord._fields, got.tape, want.tape, tape):
                 assert np.shares_memory(a, buf), name
                 assert a.shape == b.shape and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("obs_mode", ["ia2c", "fprint"])
+    def test_tape_rows_are_the_forward_records(self, obs_mode, monkeypatch):
+        # A sampled rollout has forward write each step straight into its
+        # row of the tape. The tape's rows must equal forward's records
+        # without `out`, taken on copies of the same inputs and stacked.
+        # Seed 2 runs all 600 steps and seed 3 collides after 480, into the
+        # same tape. The tape starts as nan, so a forward that does not
+        # write into `out` fails here.
+        env = PlatoonEnv(ScenarioConfig())
+        net = stacked_net(env.n_agents, 8, obs_dim=obs_dim_for(obs_mode))
+        tape = _episode_tape(env.cfg.episode_steps, net)
+        for buf in tape:
+            buf.fill(np.nan)
+        forward = nn.forward
+        records = []
+
+        def recording_forward(net, obs, hidden, out=None):
+            fresh = forward(net, obs.copy(), nn.Hidden(hidden.h.copy(), hidden.c.copy()))
+            records.append(fresh[3])
+            return forward(net, obs, hidden, out)
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        for seed, steps in ((2, 600), (3, 480)):
+            records.clear()
+            ep = rollout(env, net, obs_mode, seed, np.random.default_rng(seed), tape)
+            assert len(ep.actions) == len(records) == steps
+            fields = zip(nn.ForwardRecord._fields, ep.tape, zip(*records), tape)
+            for name, got, want, buf in fields:
+                assert np.shares_memory(got, buf), name
+                assert np.array_equal(got, np.stack(want)), name
+
+    def test_short_tape_is_rejected(self):
+        env = PlatoonEnv(tiny_scenario())
+        net = stacked_net(env.n_agents, 8)
+        tape = _episode_tape(env.cfg.episode_steps - 1, net)
+        with pytest.raises(ValueError, match="fewer than the episode's 30 steps"):
+            rollout(env, net, "ia2c", 0, np.random.default_rng(0), tape)
 
     def test_backward_peak_memory(self):
         # One full 600-step, 4-agent, hidden-64 episode (no perturbation,
