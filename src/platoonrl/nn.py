@@ -17,15 +17,16 @@ param_layout() gives the (name, shape) of each array in vector order, with
 every array stored row-major and the LSTM gate blocks ordered input, forget,
 cell, output along the 4*hidden axis. That order is the contract the
 consensus protocols, the gradient step and the checkpoints share; backward()
-returns its gradient in the same layout.
+returns its gradients in the same layout.
 
 Agent axis: `params` is one agent's (P,) vector or an (n_agents, P) stack
 with one row per agent, and then every named view and every forward() input
-and output carries the agent axis in front. backward() takes a stack only,
-with its seeds and activations shaped (T, n_agents, ...). Each agent's
-products are separate BLAS calls through np.matmul, the same calls the
-single-agent form makes, so stacking agents does not change any agent's
-numbers.
+and output carries the agent axis in front. Each agent's products are
+separate BLAS calls through np.matmul, so stacking agents does not change
+any agent's numbers. backward() takes a stack only, with its activations
+and its two loss seeds shaped (T, n_agents, ...), and returns one gradient
+per seed from a single reverse pass: the actor's and the critic's, which
+train clips and steps apart.
 """
 
 from __future__ import annotations
@@ -269,21 +270,40 @@ def forward(
     return policy, value[()], Hidden(h=h_new, c=c_new), record
 
 
+# Steps per window of backward()'s reverse pass. dz, the heads' dL/dh and
+# the gate factors are built for one window at a time, so the pass's memory
+# is bounded by the window rather than by the episode. Each window adds one
+# set of weight products per agent, so very short windows pay more of those
+# calls. On a 600-step, 4-agent, hidden-64 episode (one BLAS thread,
+# 2-core VM) a call took 43, 36, 33, 33, 32 and 39 ms at windows of 25, 50,
+# 100, 150, 200 and 600 steps, at tracemalloc peaks of 5.1, 6.0, 7.7, 9.5,
+# 11.2 and 24.5 MiB: past 100 steps a window saves little time and costs
+# about 1.8 MiB per 50 steps more.
+_WINDOW = 100
+
+
 def backward(
     net: AgentNet, tape: ForwardRecord, d_policy: np.ndarray, d_value: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagation through time over one episode of every agent of an
-    (n_agents, P) stack.
+    (n_agents, P) stack, for two losses at once.
 
     tape is one ForwardRecord of the episode, forward()'s (n_agents, ...)
     records stacked on a leading step axis. d_policy (T, n_agents,
     n_actions) and d_value (T, n_agents) hold dL/dpolicy_t and
-    dL/dvalue_t. Returns each agent's parameter gradient summed over all
-    steps, shaped like net.params. The softmax Jacobian is applied here, so
-    callers express losses directly in terms of the policy probabilities.
+    dL/dvalue_t. Returns (g_policy, g_value), each shaped like net.params:
+    every agent's gradient, summed over all steps, of the loss that
+    d_policy alone seeds and of the loss that d_value alone seeds. Their
+    sum is the gradient of the loss both seed together. The softmax
+    Jacobian is applied here, so callers express losses directly in terms
+    of the policy probabilities.
 
-    Only the dh/dc recurrence runs step by step, for all agents at once;
-    every weight gradient is one product per agent over the whole episode.
+    The reverse pass runs over windows of _WINDOW steps, last window first.
+    Per window, the heads' dL/dh and the gate derivatives are built once
+    for both seeds; per step, the dh/dc recurrence advances both seeds of
+    every agent together; at the window's end its trunk weight products,
+    one per agent for both seeds, are added into the result. The head
+    gradients are products over the whole episode.
     """
     if net.params.ndim != 2:
         raise ValueError("backward takes an (n_agents, P) stack; build one with stack_nets")
@@ -297,88 +317,88 @@ def backward(
     d_logits = p * (d_policy - np.sum(p * d_policy, axis=-1, keepdims=True))
 
     def by_agent(a: np.ndarray) -> np.ndarray:
-        """(T, n_agents, k) as (n_agents, T, k): each agent's episode matrix."""
+        """(T, n_agents, ...) as (n_agents, T, ...): each agent's episode."""
         return a.swapaxes(0, 1)
 
-    dz = _gate_grads(net, r, d_logits, d_value)
-    d_pre = np.matmul(by_agent(dz), net.lstm_wx)
-    # Times tanh's derivative 1 - x^2, built in one buffer that is freed
-    # before the weight products.
-    d_x = np.square(r.x)
-    d_pre *= by_agent(np.subtract(1.0, d_x, out=d_x))
-    del d_x
-    dz_t, d_logits_t = (by_agent(a).swapaxes(1, 2) for a in (dz, d_logits))
+    # One (2, n_agents, P) result, policy seed first; g[name][k] is seed
+    # k's view of a weight array.
+    grads = np.zeros((2,) + net.params.shape)
+    g = _views(grads, net.layout)
+    np.matmul(by_agent(d_logits).swapaxes(1, 2), by_agent(r.h_new), out=g["actor_w"][0])
+    g["actor_b"][0] = d_logits.sum(axis=0)
     # Each agent's critic seeds in one contiguous row, as a single agent's
-    # are: their sum is then pairwise and their product with h_new takes the
-    # same BLAS path, so neither moves an agent's numbers.
-    d_value = np.ascontiguousarray(d_value.T)
-    grads = {
-        "input_w": np.matmul(d_pre.swapaxes(1, 2), by_agent(r.obs)),
-        "input_b": d_pre.sum(axis=1),
-        "lstm_wx": np.matmul(dz_t, by_agent(r.x)),
-        "lstm_wh": np.matmul(dz_t, by_agent(r.h_prev)),
-        "lstm_b": dz.sum(axis=0),
-        "actor_w": np.matmul(d_logits_t, by_agent(r.h_new)),
-        "actor_b": d_logits.sum(axis=0),
-        "critic_w": np.matmul(d_value[:, None], by_agent(r.h_new)),
-        "critic_b": d_value.sum(axis=1),
-    }
-    return np.concatenate(
-        [grads[name].reshape(n_agents, -1) for name, _ in net.layout], axis=1
-    )
+    # are: their sum is then pairwise and their product with h_new takes
+    # the same BLAS path, so neither moves an agent's numbers.
+    d_value_rows = np.ascontiguousarray(d_value.T)
+    np.matmul(d_value_rows[:, None], by_agent(r.h_new), out=g["critic_w"][1])
+    g["critic_b"][1, :, 0] = d_value_rows.sum(axis=1)
 
-
-def _gate_grads(
-    net: AgentNet, r: ForwardRecord, d_logits: np.ndarray, d_value: np.ndarray
-) -> np.ndarray:
-    """dL/dz, the LSTM pre-activations' gradient, of every step and agent,
-    (T, n_agents, 4 * hidden_dim): backward()'s dh/dc recurrence, run step
-    by step for all agents at once. Its episode-sized intermediates are
-    built in place and die on return, with the per-step views the loop
-    leaves bound, before backward() forms the weight products."""
-    n_steps, n_agents, hd = len(r.policy), len(net.params), net.hidden_dim
-    # dz is allocated before dh_head and d_tanh_c, which die on return. In
-    # the other order, 4 of 6 train-n4 benchmark runs peaked about 3 MB
-    # higher in RSS (where the heap places the buffers).
-    dz = np.empty((n_steps, n_agents, 4, hd))
-    dh_head = np.matmul(d_logits.swapaxes(0, 1), net.actor_w).swapaxes(0, 1)
-    # The critic term is built in d_tanh_c's buffer, which is then free to
-    # take 1 - tanh_c^2.
-    d_tanh_c = np.multiply(d_value[..., None], net.critic_w[:, 0])
-    dh_head += d_tanh_c
-    np.square(r.tanh_c, out=d_tanh_c)
-    np.subtract(1.0, d_tanh_c, out=d_tanh_c)
+    w_max = min(_WINDOW, n_steps)
+    # The window's buffers, the seed axis next to the hidden one. dz is
+    # agent-major, so each agent's window is one matrix of the weight
+    # products; the others are step-major, as the tape is.
+    dz = np.empty((n_agents, w_max, 2, 4, hd))
+    # The heads' dL/dh, to which each step adds the recurrent term in place.
+    dh = np.empty((w_max, n_agents, 2, 1, hd))
     # dz's four gate blocks (input, forget, cell, output) are dc times
-    # gate_g, c_prev and gate_i (dh times tanh_c for the output gate), times
-    # the derivative of the gate's squashing function: s(1 - s) for
-    # sigmoids, 1 - g^2 for tanh. dz starts as those derivatives and the
-    # loop scales each step's rows in place, which keeps the peak memory of
-    # an all-agent episode down.
-    for k, s in ((0, r.gate_i), (1, r.gate_f), (3, r.gate_o)):
-        np.subtract(1.0, s, out=dz[:, :, k])
-        dz[:, :, k] *= s
-    np.square(r.gate_g, out=dz[:, :, 2])
-    np.subtract(1.0, dz[:, :, 2], out=dz[:, :, 2])
-    dh_next = np.zeros((n_agents, hd))
-    dc_next = np.zeros((n_agents, hd))
-    wh_t = net.lstm_wh.swapaxes(1, 2)
-    dz_flat = dz.reshape(n_steps, n_agents, 4 * hd)
-    per_step = (
-        dh_head, d_tanh_c, r.gate_i, r.gate_f, r.gate_g, r.gate_o, r.c_prev, r.tanh_c,
-        *(dz[:, :, k] for k in range(4)), dz_flat,
-    )
-    for dh_h, d_tc, g_i, g_f, g_g, g_o, c_prev, tanh_c, dz_i, dz_f, dz_g, dz_o, dz_t in zip(
-        *(a[::-1] for a in per_step)
-    ):
-        dh = dh_h + dh_next
-        dc = dh * g_o * d_tc + dc_next
-        dz_i *= dc * g_g
-        dz_f *= dc * c_prev
-        dz_g *= dc * g_i
-        dz_o *= dh * tanh_c
-        dh_next = _mv(wh_t, dz_t)
-        dc_next = dc * g_f
-    return dz_flat
+    # factors 0-2 and dh times factor 3: each gate's squashing derivative,
+    # s(1 - s) for sigmoids and 1 - g^2 for tanh, times gate_g, c_prev,
+    # gate_i and tanh_c. Factor 4 is dc's g_o (1 - tanh_c^2).
+    factors = np.empty((w_max, n_agents, 1, 5, hd))
+    prod = np.empty((n_agents, 8 * hd, hd))
+    dh_next = np.zeros((n_agents, 2, 1, hd))
+    dc_next = np.zeros((n_agents, 2, 1, hd))
+    dc = np.empty((n_agents, 2, 1, hd))
+    for t0 in reversed(range(0, n_steps, w_max)):
+        t = slice(t0, min(t0 + w_max, n_steps))
+        w = t.stop - t0
+        f = factors[:w, :, 0]
+        for k, s, times in (
+            (0, r.gate_i, r.gate_g), (1, r.gate_f, r.c_prev), (3, r.gate_o, r.tanh_c)
+        ):
+            np.subtract(1.0, s[t], out=f[:, :, k])
+            f[:, :, k] *= s[t]
+            f[:, :, k] *= times[t]
+        for k, s, times in ((2, r.gate_g, r.gate_i), (4, r.tanh_c, r.gate_o)):
+            np.square(s[t], out=f[:, :, k])
+            np.subtract(1.0, f[:, :, k], out=f[:, :, k])
+            f[:, :, k] *= times[t]
+        heads = dh[:w, :, :, 0]
+        np.matmul(by_agent(d_logits[t]), net.actor_w, out=by_agent(heads[:, :, 0]))
+        np.multiply(d_value[t, :, None], net.critic_w[:, 0], out=heads[:, :, 1])
+        dz_w = dz[:, :w]
+        per_step = (
+            dh[:w], factors[:w, ..., :3, :], factors[:w, ..., 3:4, :],
+            factors[:w, ..., 4:, :], r.gate_f[t, :, None, None],
+            by_agent(dz_w[..., :3, :]), by_agent(dz_w[..., 3:, :]),
+            by_agent(dz_w.reshape(n_agents, w, 2, 4 * hd)),
+        )
+        for dh_t, a_gates, a_o, b, g_f, dz_gates, dz_o, dz_t in zip(*(a[::-1] for a in per_step)):
+            dh_t += dh_next
+            np.multiply(dh_t, b, out=dc)
+            dc += dc_next
+            np.multiply(dc, a_gates, out=dz_gates)
+            np.multiply(dh_t, a_o, out=dz_o)
+            np.matmul(dz_t, net.lstm_wh, out=dh_next[:, :, 0])
+            np.multiply(dc, g_f, out=dc_next)
+        # The window's trunk products, both seeds of an agent in one: seed
+        # k's rows of the results are its gradient.
+        dz_rows = dz_w.reshape(n_agents, w, 8 * hd)
+        for name, a in (("lstm_wx", r.x), ("lstm_wh", r.h_prev)):
+            np.matmul(dz_rows.swapaxes(1, 2), by_agent(a[t]), out=prod)
+            g[name] += by_agent(prod.reshape(n_agents, 2, 4 * hd, hd))
+        g["lstm_b"] += by_agent(dz_rows.sum(axis=1).reshape(n_agents, 2, 4 * hd))
+        # dL/dx, times tanh's derivative 1 - x^2.
+        d_pre = np.matmul(dz_w.reshape(n_agents, 2 * w, 4 * hd), net.lstm_wx)
+        d_pre = d_pre.reshape(n_agents, w, 2, hd)
+        d_x = np.square(r.x[t])
+        d_pre *= by_agent(np.subtract(1.0, d_x, out=d_x))[:, :, None]
+        d_rows = d_pre.reshape(n_agents, w, 2 * hd)
+        g["input_w"] += by_agent(
+            np.matmul(d_rows.swapaxes(1, 2), by_agent(r.obs[t])).reshape(n_agents, 2, hd, -1)
+        )
+        g["input_b"] += by_agent(d_pre.sum(axis=1))
+    return grads[0], grads[1]
 
 
 def flatten_params(net: AgentNet) -> np.ndarray:

@@ -240,10 +240,11 @@ def _update(
 ) -> None:
     """One A2C update of every agent of the agent-batched `net` from one
     episode, each agent on its own rewards. Actor and critic gradients share
-    the trunk but carry separate learning rates, so each gets its own
-    backward pass (one for all agents) and each agent's its own global-norm
-    clip. With compress_gradients, `residuals` holds the actor and critic
-    error-feedback stacks and is updated in place.
+    the trunk but carry separate learning rates, so one backward pass for
+    all agents returns the two apart, and each agent's actor and critic
+    gradients get their own global-norm clips. With compress_gradients,
+    `residuals` holds the actor and critic error-feedback stacks and is
+    updated in place.
 
     The loss seeds: the actor loss  -sum_t A_t log pi(a_t) - entropy_coeff *
     sum_t H(pi_t)  gives dL/dpolicy, the critic loss  sum_t (G_t - V_t)^2
@@ -262,8 +263,7 @@ def _update(
     taken = np.arange(n_steps)[:, None], np.arange(n_agents), ep.actions
     d_policy = cfg.entropy_coeff * (np.log(policy) + 1.0)
     d_policy[taken] -= advantages / policy[taken]
-    g_actor = nn.backward(net, ep.tape, d_policy, np.zeros((n_steps, n_agents)))
-    g_critic = nn.backward(net, ep.tape, np.zeros_like(policy), -2.0 * (returns - values))
+    g_actor, g_critic = nn.backward(net, ep.tape, d_policy, -2.0 * (returns - values))
     for grad in (*g_actor, *g_critic):
         norm = float(np.linalg.norm(grad))
         if norm > cfg.grad_clip:

@@ -10,7 +10,8 @@
   a list of one (dL/dpolicy_t, dL/dvalue_t) pair per step.
 - actor_loss_grads() and critic_loss_grads() build those per-step seeds.
 - one_agent_backward() runs the package's backward() on one agent's net
-  and per-step records, as a stack of one.
+  and per-step records, as a stack of one, and returns the gradient of the
+  loss both seeds make together.
 """
 
 import numpy as np
@@ -111,10 +112,12 @@ def one_agent_backward(
     net: AgentNet, records: list[ForwardRecord], d_policy: np.ndarray, d_value: np.ndarray
 ) -> np.ndarray:
     """nn.backward for one agent: its (P,) gradient from its single-agent
-    records and its (T, n_actions) and (T,) loss seeds."""
+    records and its (T, n_actions) and (T,) loss seeds, the sum of the
+    gradients backward() returns for the two seeds."""
     tape = ForwardRecord(*(np.array(a)[:, None] for a in zip(*records)))
     seeds = (np.asarray(d, dtype=float)[:, None] for d in (d_policy, d_value))
-    return nn.backward(nn.stack_nets([net]), tape, *seeds)[0]
+    g_policy, g_value = nn.backward(nn.stack_nets([net]), tape, *seeds)
+    return (g_policy + g_value)[0]
 
 
 def backward(

@@ -10,8 +10,9 @@ workload runs. It also holds the environment to one physics call per
 platoon step. The training workload is checked too, because only it
 reaches ``nn.backward`` and ``train.apply_consensus``: a training path that
 called either through another name would run untraced.
-It also holds training to one agent-batched forward call per step and two
-agent-batched backward calls per episode.
+It also holds training to one agent-batched forward call per step and one
+agent-batched backward call per episode, which returns the actor's and the
+critic's gradients together.
 """
 
 import json
@@ -49,8 +50,8 @@ def test_traced_replay_benchmark_runs_clean():
 
 def test_traced_train_benchmark_sees_backward_and_consensus():
     metrics = run_traced("train-n4")["metrics"]
-    # One actor and one critic pass per episode, each for all 4 agents at
+    # One backward pass per episode, for both losses and all 4 agents at
     # once, and one forward call per platoon step for all agents.
-    assert metrics["nn.backward.calls_per_episode"]["value"] == 2
+    assert metrics["nn.backward.calls_per_episode"]["value"] == 1
     assert metrics["nn.forward.calls_per_step"]["value"] == 1
     assert metrics["consensus.rounds"]["value"] >= 1

@@ -1,12 +1,14 @@
 """The network passes and the A2C loss seeds against their references.
 
 - The agent-batched forward() must be bit-equal, agent by agent, to the
-  single-agent forward in reference_nn.py, and the agent-batched backward()
-  within 1e-12 of the gradient's largest entry to the single-agent
-  matrix-form backward (in practice they are bit-equal too).
-- backward() forms its weight gradients as products over the whole episode,
-  which sums the steps in another order than the per-step reference, so the
-  two gradients must agree within 1e-12 of the gradient's largest entry.
+  single-agent forward in reference_nn.py. Each of the two gradients the
+  agent-batched backward() returns must be within 1e-12 of its largest
+  entry of the single-agent matrix-form backward seeded by that loss alone,
+  over episodes that end inside, on and just past its window edges.
+- backward() forms its weight gradients as a sum of products over windows
+  of steps, which sums the steps in another order than the per-step
+  reference, so the two gradients must agree within 1e-12 of the
+  gradient's largest entry.
 - The loss seeds train builds as arrays must be bit-equal to the
   reference's per-step lists.
 - forward() with an `out` record must give the bits it gives without one,
@@ -88,12 +90,14 @@ def test_loss_seeds_bit_equal_to_reference(normalize, seed, monkeypatch):
 
     def capture(net, records, d_policy, d_value):
         calls.append((records, d_policy, d_value))
-        return np.zeros(net.params.shape)
+        return np.zeros(net.params.shape), np.zeros(net.params.shape)
 
     monkeypatch.setattr(nn, "backward", capture)
     _update(cfg, net, ep, None, 1)
-    (rec_a, dp_a, dv_a), (rec_c, dp_c, dv_c) = calls
-    assert rec_a is ep.tape and rec_c is ep.tape
+    # One call: the actor's policy seeds and the critic's value seeds. The
+    # reference's actor value seeds and critic policy seeds are all zero.
+    ((rec, dp_a, dv_c),) = calls
+    assert rec is ep.tape
     for agent in range(env.n_agents):
         records = [
             nn.ForwardRecord(*(a[t, agent] for a in ep.tape)) for t in range(len(ep.actions))
@@ -105,13 +109,12 @@ def test_loss_seeds_bit_equal_to_reference(normalize, seed, monkeypatch):
         if normalize:
             advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         actions = [int(a) for a in ep.actions[:, agent]]
-        for got_p, got_v, want in (
-            (dp_a[:, agent], dv_a[:, agent], ref.actor_loss_grads(
-                records, actions, advantages, cfg.entropy_coeff)),
-            (dp_c[:, agent], dv_c[:, agent], ref.critic_loss_grads(values, returns, N_ACTIONS)),
-        ):
-            assert np.array_equal(got_p, np.array([p for p, _ in want]))
-            assert np.array_equal(got_v, np.array([v for _, v in want]))
+        actor = ref.actor_loss_grads(records, actions, advantages, cfg.entropy_coeff)
+        critic = ref.critic_loss_grads(values, returns, N_ACTIONS)
+        assert np.array_equal(dp_a[:, agent], np.array([p for p, _ in actor]))
+        assert np.array_equal(dv_c[:, agent], np.array([v for _, v in critic]))
+        assert not any(v for _, v in actor)
+        assert not np.any([p for p, _ in critic])
 
 
 def batched_episode(seed, n_agents, hidden_dim, n_steps, head_scale):
@@ -164,7 +167,15 @@ def test_batched_forward_bit_equal_to_single_agent(n_agents, hidden_dim, n_steps
                 assert np.array_equal(got[i], want)
 
 
-@pytest.mark.parametrize("n_agents,hidden_dim,n_steps,head_scale", BATCH_CASES)
+# Episodes that end inside, on and just past backward()'s window edges.
+WINDOW_CASES = [
+    (3, hidden_dim, n_steps, 40.0)
+    for hidden_dim in (8, 64)
+    for n_steps in (1, nn._WINDOW - 1, nn._WINDOW, nn._WINDOW + 1, 2 * nn._WINDOW + 1, 600)
+]
+
+
+@pytest.mark.parametrize("n_agents,hidden_dim,n_steps,head_scale", BATCH_CASES + WINDOW_CASES)
 def test_batched_backward_matches_single_agent(n_agents, hidden_dim, n_steps, head_scale):
     seed = 100_000 * n_agents + 1000 * hidden_dim + n_steps + int(head_scale)
     rng, nets, stacked, steps, ref_steps = batched_episode(
@@ -173,15 +184,18 @@ def test_batched_backward_matches_single_agent(n_agents, hidden_dim, n_steps, he
     tape = nn.ForwardRecord(*map(np.array, zip(*(record for *_, record in steps))))
     d_policy = rng.normal(size=(n_steps, n_agents, N_ACTIONS))
     d_value = rng.normal(size=(n_steps, n_agents))
-    got = nn.backward(stacked, tape, d_policy, d_value)
-    assert got.shape == stacked.params.shape
+    g_policy, g_value = nn.backward(stacked, tape, d_policy, d_value)
+    assert g_policy.shape == g_value.shape == stacked.params.shape
     for i, net in enumerate(nets):
         records = [record for *_, record in ref_steps[i]]
-        want = ref.matrix_backward(
-            net, records, d_policy[:, i].copy(), d_value[:, i].copy()
-        )
-        err = np.max(np.abs(got[i] - want))
-        assert err <= 1e-12 * np.max(np.abs(want)), f"agent {i}: max abs difference {err}"
+        # Each gradient against the reference seeded by its loss alone.
+        for name, got, seeds in (
+            ("policy", g_policy[i], (d_policy[:, i].copy(), np.zeros(n_steps))),
+            ("value", g_value[i], (np.zeros((n_steps, N_ACTIONS)), d_value[:, i].copy())),
+        ):
+            want = ref.matrix_backward(net, records, *seeds)
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), f"agent {i}, {name}: difference {err}"
 
 
 def test_batched_backward_rejects_seed_shapes():

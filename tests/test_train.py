@@ -235,12 +235,11 @@ class TestEpisodeBuffers:
         with pytest.raises(ValueError, match="fewer than the episode's 30 steps"):
             rollout(env, net, "ia2c", 0, np.random.default_rng(0), tape)
 
-    def test_backward_peak_memory(self):
-        # One full 600-step, 4-agent, hidden-64 episode (no perturbation,
-        # no jitter: nothing collides). backward builds dz, the heads' dL/dh
-        # and 1 - tanh(c)^2 in place, for a peak of about 8.05 MiB. An
-        # episode-sized temporary in that build, or a per-step view that
-        # keeps the latter two alive into the weight products, passes 8.34.
+    @staticmethod
+    def backward_peak(n_copies=1):
+        """tracemalloc peak of one two-seed backward over a full 600-step,
+        4-agent, hidden-64 episode (no perturbation, no jitter: nothing
+        collides), its tape and seeds repeated n_copies times end to end."""
         env = PlatoonEnv(
             ScenarioConfig(perturbation=None, init_spacing_jitter=0.0, init_velocity_jitter=0.0)
         )
@@ -248,17 +247,32 @@ class TestEpisodeBuffers:
         rng = np.random.default_rng(0)
         ep = rollout(env, net, "ia2c", 0, rng)
         assert len(ep.actions) == 600
-        d_policy = rng.normal(size=ep.tape.policy.shape)
-        d_value = rng.normal(size=ep.values.shape)
+        tape = nn.ForwardRecord(*(np.concatenate([a] * n_copies) for a in ep.tape))
+        d_policy = rng.normal(size=tape.policy.shape)
+        d_value = rng.normal(size=tape.policy.shape[:2])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            nn.backward(net, ep.tape, d_policy, d_value)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            nn.backward(net, tape, d_policy, d_value)
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+
+    def test_backward_peak_memory(self):
+        # backward builds dz, the heads' dL/dh and the gate factors for one
+        # window of steps at a time, for a peak of about 7.7 MiB with both
+        # gradients. One more episode-sized temporary (a (600, 4, 64) array
+        # is 1.2 MB) passes 8.34.
+        peak = self.backward_peak()
         assert peak <= 8.34 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_backward_memory_is_bounded_by_the_window(self):
+        # Only the seeds' softmax terms and the head products grow with the
+        # episode; a pass that kept dz for the whole episode would add about
+        # 7 MiB per 600 steps.
+        growth = self.backward_peak(2) - self.backward_peak(1)
+        assert growth < 2**20, f"1200 steps peak {growth / 2**20:.2f} MiB above 600"
 
 
 class TestTrainLog:
