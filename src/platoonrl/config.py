@@ -19,7 +19,6 @@ import yaml
 from .consensus import ConsensusConfig
 from .env import Perturbation, RewardWeights, ScenarioConfig
 from .errors import ConfigError
-from .files import replaced
 from .ovm import OvmParams
 from .train import TrainConfig
 from .vehicle import VehicleParams
@@ -154,11 +153,6 @@ def load_config(path: str | Path) -> RunConfig:
     if raw is None:
         raw = {}
     return config_from_dict(raw)
-
-
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    with replaced(path) as tmp:
-        tmp.write_text(yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
 
 
 def resolve_output_dir(cfg: RunConfig, flag_value: str | None = None) -> Path:

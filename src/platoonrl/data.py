@@ -105,22 +105,6 @@ def parse_trace_csv(path: str | Path) -> TraceTable:
     return TraceTable(times=times, columns=tuple(vel_cols), values=values)
 
 
-def resample(table: TraceTable, dt: float) -> TraceTable:
-    """Linearly interpolate all columns onto the uniform grid t0, t0+dt, ...
-    spanning the table; queries past the last sample clamp to it."""
-    if dt <= 0.0:
-        raise DataError("resample requires dt > 0")
-    if table.times.size < 2:
-        raise DataError("resample requires at least 2 rows")
-    t0, t_last = float(table.times[0]), float(table.times[-1])
-    n = int(np.floor((t_last - t0) / dt + 1e-9)) + 1
-    grid = t0 + dt * np.arange(n)
-    values = np.column_stack(
-        [np.interp(grid, table.times, table.values[:, c]) for c in range(table.values.shape[1])]
-    )
-    return TraceTable(times=grid, columns=table.columns, values=values)
-
-
 def save_profile(profile: LeaderProfile, path: str | Path) -> None:
     """Write a profile as single-column CSV with a comment header recording
     the source window and sampling interval."""
@@ -128,29 +112,6 @@ def save_profile(profile: LeaderProfile, path: str | Path) -> None:
     values = "".join(f"{v:.6f}\n" for v in profile.velocities)
     with replaced(path) as tmp:
         tmp.write_text(header + "velocity_mps\n" + values, newline="")
-
-
-def load_profile(path: str | Path) -> LeaderProfile:
-    """Read a profile written by save_profile."""
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read profile {path}: {exc}") from exc
-    if len(lines) < 3 or not lines[0].startswith("#"):
-        raise DataError(f"{path}: not a profile file")
-    meta = dict(
-        part.split("=", 1) for part in lines[0].lstrip("# ").split() if "=" in part
-    )
-    try:
-        t0 = float(meta["t0"])
-        t1 = float(meta["t1"])
-        dt = float(meta["dt"])
-        label = meta.get("source", "")
-        velocities = np.array([float(x) for x in lines[2:] if x.strip()])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed profile header or values") from exc
-    return LeaderProfile(velocities=velocities, t0=t0, t1=t1, dt=dt, label=label)
 
 
 def extract_window(

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 import pytest
+import yaml
 
 from platoonrl.config import (
     RunConfig,
@@ -10,7 +11,6 @@ from platoonrl.config import (
     config_to_dict,
     load_config,
     resolve_output_dir,
-    save_config,
 )
 from platoonrl.errors import ConfigError
 
@@ -93,7 +93,7 @@ class TestRoundTrip:
             "train": {"obs_mode": "fprint"},
         })
         path = tmp_path / "run.yaml"
-        save_config(cfg, path)
+        path.write_text(yaml.safe_dump(config_to_dict(cfg)))
         assert load_config(path) == cfg
 
     def test_load_handwritten_yaml(self, tmp_path):
@@ -153,7 +153,7 @@ class TestActionGains:
 
     def test_saved_config_has_no_gain_keys(self, tmp_path):
         path = tmp_path / "run.yaml"
-        save_config(RunConfig(), path)
+        path.write_text(yaml.safe_dump(config_to_dict(RunConfig())))
         assert set(config_to_dict(RunConfig())["ovm"]) == {"d_stop", "d_go", "v_max"}
         assert "alpha" not in path.read_text() and "beta" not in path.read_text()
         assert load_config(path) == RunConfig()

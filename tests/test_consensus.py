@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from platoonrl.consensus import (
     ConsensusConfig,
-    NeighborGraph,
     apply_consensus,
     bdc_round,
     comm_bits_per_round,
@@ -75,36 +74,24 @@ class TestTernaryQuantize:
         )
 
 
-class TestNeighborGraph:
+class TestLineGraph:
+    """The one topology: the Laplacian L read off a dcea round at eps = 1
+    on unit vectors, W' = (I - L) W, and the directed edge count off the
+    bit accounting."""
+
     def test_line_of_four(self):
-        g = NeighborGraph.line(4)
-        assert g.adjacency == ((1,), (0, 2), (1, 3), (2,))
-        assert g.n_directed_edges == 6
+        laplacian = np.eye(4) - dcea_round(np.eye(4), eps=1.0)
+        assert np.array_equal(laplacian, [
+            [1.0, -1.0, 0.0, 0.0],
+            [-1.0, 2.0, -1.0, 0.0],
+            [0.0, -1.0, 2.0, -1.0],
+            [0.0, 0.0, -1.0, 1.0],
+        ])
+        assert comm_bits_per_round("bdc", 1, 4) == 2 * 6
 
     def test_single_agent_line(self):
-        g = NeighborGraph.line(1)
-        assert g.adjacency == ((),)
-        assert g.n_directed_edges == 0
-
-    def test_rejects_asymmetric_edge(self):
-        with pytest.raises(ValueError):
-            NeighborGraph(2, ((1,), ()))
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            NeighborGraph(2, ((0, 1), (0,)))
-
-    def test_rejects_unsorted_neighbors(self):
-        with pytest.raises(ValueError):
-            NeighborGraph(3, ((2, 1), (0, 2), (0, 1)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            NeighborGraph(2, ((3,), (0,)))
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            NeighborGraph(3, ((1,), (0,)))
+        assert np.array_equal(dcea_round(np.eye(1), eps=1.0), np.eye(1))
+        assert comm_bits_per_round("bdc", 1, 1) == 0
 
 
 class TestBdcRound:
@@ -131,11 +118,10 @@ class TestBdcRound:
 
     @given(ws=vectors(4))
     def test_step_bounded_by_degree(self, ws):
-        g = NeighborGraph.line(4)
         eps = 0.05
-        out = bdc_round(ws, eps=eps, graph=g)
+        out = bdc_round(ws, eps=eps)
         for i, (w, o) in enumerate(zip(ws, out)):
-            bound = 2.0 * eps * len(g.adjacency[i])
+            bound = 2.0 * eps * (1 if i in (0, 3) else 2)
             biggest = np.max(np.abs(o - w))
             assert biggest <= bound + 1e-12, f"agent {i} moved {biggest} > {bound}"
 
@@ -157,10 +143,6 @@ class TestBdcRound:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             bdc_round([np.zeros(3), np.zeros(4)], eps=0.1)
-
-    def test_rejects_wrong_graph_size(self):
-        with pytest.raises(ValueError):
-            bdc_round([np.zeros(2)] * 3, eps=0.1, graph=NeighborGraph.line(4))
 
 
 class TestWacRound:
@@ -233,13 +215,11 @@ class TestDceaRound:
 class TestApplyConsensus:
     def test_dispatch_matches_direct_calls(self):
         ws = [np.array([0.2, -0.4]), np.array([1.0, 0.3]), np.array([-0.5, 0.0])]
-        g = NeighborGraph.line(3)
         for direct, out in [
-            (bdc_round(ws, eps=0.05, tau=0.01, graph=g),
-             apply_consensus("bdc", ws, eps=0.05, tau=0.01, graph=g)),
-            (wac_round(ws, graph=g), apply_consensus("wac", ws, eps=0.05, graph=g)),
-            (dcea_round(ws, eps=0.05, graph=g),
-             apply_consensus("dcea", ws, eps=0.05, graph=g)),
+            (bdc_round(ws, eps=0.05, tau=0.01),
+             apply_consensus("bdc", ws, eps=0.05, tau=0.01)),
+            (wac_round(ws), apply_consensus("wac", ws, eps=0.05)),
+            (dcea_round(ws, eps=0.05), apply_consensus("dcea", ws, eps=0.05)),
         ]:
             for d, o in zip(direct, out):
                 assert np.array_equal(d, o)
@@ -325,13 +305,14 @@ class TestCommBits:
     def test_none_is_free(self):
         assert comm_bits_per_round("none", 100, 2) == 0
 
-    def test_int_means_line_graph(self):
-        g = NeighborGraph.line(5)
-        assert comm_bits_per_round("bdc", 64, 5) == comm_bits_per_round("bdc", 64, g)
-
-    def test_custom_graph(self):
-        triangle = NeighborGraph(3, ((1, 2), (0, 2), (0, 1)))
-        assert comm_bits_per_round("bdc", 10, triangle) == 2 * 10 * 6
+    @given(protocol=st.sampled_from(["bdc", "wac", "dcea", "none"]),
+           n_params=st.integers(min_value=0, max_value=100000),
+           n_agents=st.integers(min_value=1, max_value=64))
+    def test_line_graph_edge_count(self, protocol, n_params, n_agents):
+        # the n-agent line graph has 2 (n - 1) directed edges
+        bits = {"bdc": 2, "wac": 32, "dcea": 32, "none": 0}[protocol]
+        got = comm_bits_per_round(protocol, n_params, n_agents)
+        assert got == bits * n_params * 2 * (n_agents - 1)
 
     @given(n_params=st.integers(min_value=0, max_value=10000),
            n_agents=st.integers(min_value=1, max_value=16))
@@ -346,6 +327,10 @@ class TestCommBits:
     def test_rejects_unknown_protocol(self):
         with pytest.raises(ValueError):
             comm_bits_per_round("gossip", 10, 2)
+
+    def test_rejects_zero_agents(self):
+        with pytest.raises(ValueError):
+            comm_bits_per_round("bdc", 10, 0)
 
 
 class TestConsensusConfig:

@@ -1,4 +1,4 @@
-"""Consensus rounds as graph products against the per-agent loops.
+"""Consensus rounds as line-graph products against the per-agent loops.
 
 bdc multiplies the Laplacian by ternary vectors, whose sums of small
 integers are exact, so it must be bit-equal to the loop. wac and dcea sum
@@ -10,30 +10,18 @@ quantizer must be bit-equal to the two-`where` form it replaced.
 import numpy as np
 import pytest
 
-from platoonrl.consensus import NeighborGraph, bdc_round, dcea_round, ternary_quantize, wac_round
+from platoonrl.consensus import bdc_round, dcea_round, ternary_quantize, wac_round
 
 import reference_consensus as ref
 
 N_CASES = 300
 
 
-def random_graph(n, rng):
-    """Symmetric graph on n agents: a random spanning path plus extra edges."""
-    neighbors = [set() for _ in range(n)]
-    order = rng.permutation(n)
-    edges = list(zip(order[:-1], order[1:]))
-    edges += [tuple(rng.choice(n, size=2, replace=False)) for _ in range(n if n > 1 else 0)]
-    for i, j in edges:
-        neighbors[i].add(int(j))
-        neighbors[j].add(int(i))
-    return NeighborGraph(n, tuple(tuple(sorted(s)) for s in neighbors))
-
-
 @pytest.mark.parametrize("case", range(N_CASES))
 def test_rounds_match_per_agent_loops(case):
     rng = np.random.default_rng(case)
     n = int(rng.integers(1, 65))
-    graph = random_graph(n, rng) if case % 3 else NeighborGraph.line(n)
+    neighbors = ref.line_neighbors(n)
     scale = 10.0 ** rng.uniform(-3, 2)
     ws = [rng.normal(scale=scale, size=40) for _ in range(n)]
     ws[0][:5] = 0.0
@@ -41,11 +29,11 @@ def test_rounds_match_per_agent_loops(case):
     tau = float(rng.choice([0.0, 0.5 * scale]))
     tol = 1e-14 * max(np.max(np.abs(w)) for w in ws)
 
-    got = bdc_round(ws, eps, tau, graph)
+    got = bdc_round(ws, eps, tau)
     assert isinstance(got, np.ndarray) and got.shape == (n, 40)
-    assert np.array_equal(got, np.array(ref.bdc_round(ws, eps, tau, graph)))
-    assert np.max(np.abs(wac_round(ws, graph) - np.array(ref.wac_round(ws, graph)))) <= tol
-    assert np.max(np.abs(dcea_round(ws, eps, graph) - np.array(ref.dcea_round(ws, eps, graph)))) <= tol
+    assert np.array_equal(got, np.array(ref.bdc_round(ws, eps, tau, neighbors)))
+    assert np.max(np.abs(wac_round(ws) - np.array(ref.wac_round(ws, neighbors)))) <= tol
+    assert np.max(np.abs(dcea_round(ws, eps) - np.array(ref.dcea_round(ws, eps, neighbors)))) <= tol
 
 
 SPECIAL = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 0.5, -0.5]

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from platoonrl.cli import main
-from platoonrl.config import RunConfig, save_config
 from platoonrl.data import LeaderProfile, save_profile
 from platoonrl.nn import init_agent_net, save_params
 from platoonrl.train import (
@@ -47,7 +46,6 @@ WRITERS = {
         LeaderProfile(np.array([15.0, 15.5]), 0.0, 0.2, 0.1, "v1:0-0.2"),
         out / "leader_profile.csv",
     ),
-    "run.yaml": lambda out, config, trace: save_config(RunConfig(), out / "run.yaml"),
     "agent0.npz": lambda out, config, trace: save_params(
         init_agent_net(15, 8, rng=np.random.default_rng(0)), out / "agent0.npz"
     ),
