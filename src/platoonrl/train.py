@@ -265,7 +265,9 @@ def _update(
     d_policy[taken] -= advantages / policy[taken]
     g_actor, g_critic = nn.backward(net, ep.tape, d_policy, -2.0 * (returns - values))
     for grad in (*g_actor, *g_critic):
-        norm = float(np.linalg.norm(grad))
+        # Pairwise summation, not a BLAS dot product, whose last bits
+        # follow the BLAS thread count.
+        norm = float(np.sqrt(np.add.reduce(grad * grad)))
         if norm > cfg.grad_clip:
             grad *= cfg.grad_clip / norm
     finite = np.all(np.isfinite(g_actor), axis=1) & np.all(np.isfinite(g_critic), axis=1)

@@ -1,11 +1,18 @@
 """Command line interface: exit codes, emitted files, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from platoonrl.cli import main
 from platoonrl.consensus import comm_bits_per_round
 from platoonrl.nn import init_agent_net, save_params
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -148,6 +155,26 @@ class TestTrainCli:
         a = (tmp_path / "a" / "train_log_seed0.csv").read_bytes()
         b = (tmp_path / "b" / "train_log_seed0.csv").read_bytes()
         assert a == b
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tiny_config, tmp_path):
+        # One BLAS thread or two, in fresh processes: the same log and
+        # checkpoint bytes.
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "platoonrl.cli", "train",
+                 "--config", str(tiny_config), "--output-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append({
+                p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()
+            })
+        assert len(outputs[0]) == 3, "one log and two checkpoints"
+        assert outputs[0] == outputs[1]
 
     def test_steps_override(self, tiny_config, tmp_path):
         assert run_cli(
