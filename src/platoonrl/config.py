@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .consensus import ConsensusConfig
 from .env import Perturbation, RewardWeights, ScenarioConfig
 from .errors import ConfigError
@@ -141,6 +139,10 @@ def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
 
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a YAML run config."""
+    # Imported here, its only use: it costs every import of the package
+    # 14-20 ms, and no workload but a run from a config file needs it.
+    import yaml
+
     path = Path(path)
     try:
         text = path.read_text()

@@ -44,8 +44,12 @@ OBS_MODES = ("ia2c", "fprint")
 LEADER_MODES = ("virtual-target", "trace-replay")
 
 _OWN_DIM = 5
-# One row of alpha and one of beta, a column per action.
-_GAINS = np.array(ACTION_GAINS).T
+# One row of beta and one of alpha, a column per action: the gain law's
+# order.
+_GAINS = np.array([[beta for _, beta in ACTION_GAINS], [alpha for alpha, _ in ACTION_GAINS]])
+# The rows of the reward's error block: spacing, velocity, acceleration and
+# spacing again, for the safety term.
+_ERROR_ROWS = np.array([0, 1, 2, 0])
 
 # Per-vehicle values of a step, in the order of PlatoonEnv.vehicle_values().
 LOG_FIELDS = ("spacing_m", "velocity_mps", "accel_mps2", "power_kw", "reward")
@@ -165,8 +169,10 @@ def compute_reward(
     The collision penalty is applied by the environment, not here.
     """
     d, v, u, power_kw = np.broadcast_arrays(d, v, u, power_kw)
-    law = _reward_law(weights, d_star, v_star, d.size)
-    rewards = _reward(law, *(np.reshape(x, -1) for x in (d, v, u, power_kw)))
+    n = d.size
+    law = _reward_law(weights, d_star, v_star, n)
+    values = np.array([np.reshape(x, -1) for x in (d, v, u, power_kw)], dtype=float)
+    rewards = _reward(law, values, np.empty(n), np.empty((4, n)))
     return rewards.reshape(d.shape)[()]
 
 
@@ -192,20 +198,26 @@ def _reward_law(
     return offsets, caps, scales, power_weight, power_norm
 
 
-def _reward(law: tuple[np.ndarray, ...], d, v, u, power_kw) -> np.ndarray:
-    """compute_reward on (n,) arrays, from its _reward_law."""
+def _reward(
+    law: tuple[np.ndarray, ...], values: np.ndarray, out: np.ndarray, errors: np.ndarray
+) -> np.ndarray:
+    """compute_reward from its _reward_law, into out: values holds the (n,)
+    rows d, v, u and power_kw first, and errors is a (4, n) scratch block."""
     offsets, caps, scales, power_weight, power_norm = law
     # The errors d - d*, v - v*, u and d - 2 d_safe, the last capped at 0:
     # min(d - 2 d_safe, 0)^2 is the safety term's max(0, 2 d_safe - d)^2.
-    errors = np.minimum(np.array((d, v, u, d)) - offsets, caps)
+    values.take(_ERROR_ROWS, axis=0, out=errors, mode="clip")
+    errors -= offsets
+    np.minimum(errors, caps, out=errors)
     errors *= errors
     errors *= scales
-    spacing, velocity, accel, safety = errors
-    rewards = spacing + velocity
-    rewards += accel
-    rewards += safety
-    rewards += power_weight * (power_kw / power_norm)
-    return rewards
+    np.add(errors[0], errors[1], out=out)
+    out += errors[2]
+    out += errors[3]
+    power = np.divide(values[3], power_norm, out=errors[0])
+    power *= power_weight
+    out += power
+    return out
 
 
 def _virtual_target(cfg: ScenarioConfig) -> np.ndarray:
@@ -258,7 +270,10 @@ class PlatoonEnv:
     """N-vehicle platoon simulator with per-agent observations and rewards.
 
     The platoon state is one (len(LOG_FIELDS), n_vehicles) array, vehicles
-    front to back, that each step overwrites.
+    front to back. It is allocated at construction with the blocks each
+    step works in, and the row views that step and the observations use are
+    bound once; reset and step overwrite them in place, and every array
+    handed out is a fresh copy.
     Agents are the vehicles in the `agents` slice, so a replayed leader is
     the one vehicle that is not an agent. Vehicle 0 follows one leader
     sequence, the velocity of the virtual car or the trace at each step.
@@ -289,37 +304,65 @@ class PlatoonEnv:
         if cfg.leader_mode == "trace-replay":
             if leader_profile is None:
                 raise ConfigError("trace-replay mode requires a leader profile")
-            self._leader = np.asarray(leader_profile, dtype=float)
-            if self._leader.ndim != 1 or self._leader.size < 2:
+            leader = np.asarray(leader_profile, dtype=float)
+            if leader.ndim != 1 or leader.size < 2:
                 raise ConfigError("leader profile must be a 1-D array, length >= 2")
-            if not np.all(np.isfinite(self._leader)):
+            if not np.all(np.isfinite(leader)):
                 raise ConfigError("leader profile must be finite")
         else:
-            self._leader = _virtual_target(cfg)
+            leader = _virtual_target(cfg)
+        # The leader sequence's velocities as floats: each step reads two.
+        self._leader = leader.tolist()
         # The agent vehicles: the last cfg.n_agents.
-        self.agents = slice(cfg.n_vehicles - cfg.n_agents, None)
+        self.agents = a = slice(cfg.n_vehicles - cfg.n_agents, None)
         n_agents = cfg.n_agents
-        self._power_law = _full_size(_power_law(self.vehicle), cfg.n_vehicles)
+        self._power_law = tuple(_full_size(_power_law(self.vehicle), cfg.n_vehicles))
         self._reward_law = _reward_law(self.reward, cfg.d_star, cfg.v_star, n_agents)
         self._own_law = _own_law(cfg, n_agents)
         # The observations gather from one flat source: the agents' own
         # 5-vectors entry by entry, their fingerprints agent by agent, and a
         # zero for the neighbors that are not agents.
         self._obs_source = np.zeros((_OWN_DIM + N_ACTIONS) * n_agents + 1)
-        self._own = self._obs_source[: _OWN_DIM * n_agents].reshape(_OWN_DIM, n_agents)
+        self._own = own = self._obs_source[: _OWN_DIM * n_agents].reshape(_OWN_DIM, n_agents)
+        self._own_v, self._own_errors, self._own_gap, self._own_accel = (
+            own[0], own[1:3], own[3], own[4]
+        )
+        self._own_scaled = own[1:]
         self._fingerprint_slot = self._obs_source[_OWN_DIM * n_agents : -1].reshape(
             n_agents, N_ACTIONS
         )
         self._obs_index = _observation_index(n_agents)
-        # The platoon: one row per LOG_FIELDS entry, one column per vehicle.
-        self._values: np.ndarray | None = None
+        # The platoon: one row per LOG_FIELDS entry, one column per vehicle,
+        # written by the first reset.
+        self._values = values = np.empty((len(LOG_FIELDS), cfg.n_vehicles))
+        self._agent_values = values[:, a]
+        self._agent_state = values[:3, a]
+        self._agent_motion = values[:2, a]
+        self._spacing, self._velocity, self._accel, _, self._rewards = self._agent_values
+        self._ahead_velocity = values[1, a.start : -1]
+        self._power_rows = values[1], values[2], values[3]
+        self._power_scratch = np.empty(cfg.n_vehicles)
+        # Set by each observation for the next step: the agents' own,
+        # predecessor and headway velocities, the leader sequence's
+        # velocity, and the agents' errors to the predecessor and to the
+        # headway velocity.
+        self._vel = vel = np.empty((3, n_agents))
+        self._vel_own, self._vel_pairs, self._vel_ahead = vel[0], vel[:2], vel[1, 1:]
+        self._vel_targets = vel[1:]
+        self._lead_v = math.nan
+        self._errors = np.empty((2, n_agents))
+        self._ahead_error = self._errors[0]
+        # Step scratch: the gains by action, the kinematics' accelerations
+        # and distances, the reward's error block and the collision mask.
+        self._gains = np.empty((2, n_agents))
+        self._acc = np.empty((2, n_agents))
+        self._dist = np.empty((2, n_agents))
+        self._reward_errors = np.empty((4, n_agents))
+        # dt as a 0-d array: NumPy converts a Python float anew on each call.
+        self._dt = np.array(cfg.dt)
+        self._crashed = np.empty(n_agents, dtype=bool)
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
-        # Set by each observation for the next step: the agents' own and
-        # predecessor velocities, and their errors to the predecessor and to
-        # the headway velocity.
-        self._velocities: np.ndarray | None = None
-        self._errors: np.ndarray | None = None
         self._step_idx = 0
         self._done = True
 
@@ -334,6 +377,9 @@ class PlatoonEnv:
     def vehicle_values(self) -> np.ndarray:
         """(len(LOG_FIELDS), n_vehicles) copy of the most recent step's (or
         reset's) per-vehicle values."""
+        # reset sets _v0, so the platoon has no values until then.
+        if self._v0 is None:
+            raise RuntimeError("no platoon state before the first reset(); reset() first")
         return self._values.copy()
 
     def vehicle_log_rows(self) -> list[VehicleLogRow]:
@@ -346,7 +392,8 @@ class PlatoonEnv:
     def _leader_velocity(self, k: int) -> float:
         """Velocity of vehicle 0's predecessor at step index k; the trace
         holds its last sample past its end."""
-        return float(self._leader[min(k, self._leader.size - 1)])
+        leader = self._leader
+        return leader[min(k, len(leader) - 1)]
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         cfg = self.cfg
@@ -360,9 +407,9 @@ class PlatoonEnv:
         if self.agents.start:
             velocity[0] = self._leader[0]
             spacing[0] = math.nan
-        self._values = values = np.empty((len(LOG_FIELDS), cfg.n_vehicles))
+        values = self._values
         values[0], values[1], values[2], values[4] = spacing, velocity, 0.0, math.nan
-        values[3] = _power_kw(self._power_law, values[1], values[2])
+        _power_kw(self._power_law, *self._power_rows, self._power_scratch)
         self._v0 = velocity
         self._fingerprints = np.full((self.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
         self._step_idx = 0
@@ -370,34 +417,36 @@ class PlatoonEnv:
         return self._observations()
 
     def _observations(self) -> np.ndarray:
-        cfg = self.cfg
-        a = self.agents
-        values = self._values
-        d = values[0, a]
         # The agents' own velocities, their predecessors' and the headway
         # velocities of their gaps. The first agent's predecessor drives at
         # the leader sequence's velocity: the virtual car, or vehicle 0
         # replaying the trace.
-        vel = np.empty((3, self.n_agents))
-        vel[0] = values[1, a]
-        vel[1, 0] = self._leader_velocity(self._step_idx)
-        vel[1, 1:] = values[1, a.start : -1]
+        vel = self._vel
+        vel_own = self._vel_own
+        vel_own[...] = self._velocity
+        self._lead_v = vel[1, 0] = self._leader_velocity(self._step_idx)
+        self._vel_ahead[...] = self._ahead_velocity
+        d = self._spacing
         vel[2] = headway_velocity(self.ovm, d)
-        errors = vel[1:] - vel[0]
-        self._velocities, self._errors = vel[:2], errors
+        errors = np.subtract(self._vel_targets, vel_own, out=self._errors)
         # The own 5-vectors, one row per entry: the numerators, then each
-        # row over its scale, with the two velocity errors clipped.
+        # row over its scale, with the two velocity errors clipped. _v0 is
+        # read afresh: reset rebinds it.
         dt, d_star, scales, low, high = self._own_law
-        own = self._own
-        v0 = self._v0[a]
-        own[0] = vel[0] - v0
-        own[0] /= v0
-        own[1:3] = errors
-        own[3] = errors[0] * dt + d - d_star
-        own[4] = values[2, a]
-        own[1:] = np.minimum(np.maximum(own[1:] / scales, low), high)
+        own_v = self._own_v
+        v0 = self._v0[self.agents]
+        np.subtract(vel_own, v0, out=own_v)
+        own_v /= v0
+        self._own_errors[...] = errors
+        gap = np.multiply(self._ahead_error, dt, out=self._own_gap)
+        gap += d
+        gap -= d_star
+        self._own_accel[...] = self._accel
+        scaled = np.divide(self._own_scaled, scales, out=self._own_scaled)
+        np.maximum(scaled, low, out=scaled)
+        np.minimum(scaled, high, out=scaled)
         self._fingerprint_slot[...] = self._fingerprints
-        return self._obs_source[self._obs_index]
+        return self._obs_source.take(self._obs_index)
 
     def step(
         self,
@@ -429,12 +478,10 @@ class PlatoonEnv:
             raise ValueError(
                 f"expected {n_agents} integer actions in [0, {N_ACTIONS}), got {listed}"
             )
-        a = self.agents
-        values = self._values
         # The agents' spacing, velocity and acceleration rows, checked once:
         # the laws below run unchecked on them and on values derived from
         # them or from the leader sequence.
-        if not _all_finite(values[:3, a]):
+        if not _all_finite(self._agent_state):
             raise ValueError("step requires a finite agent state")
         if fingerprints is not None:
             fp = np.asarray(fingerprints, dtype=float)
@@ -445,32 +492,31 @@ class PlatoonEnv:
         k = self._step_idx
         dt = cfg.dt
         # Each agent's gain pair in the law, on the velocity errors of the
-        # last observations.
-        alpha, beta = _GAINS.take(acts, axis=1)
-        ahead_err, head_err = self._errors
-        u = _gain_accel(alpha, beta, head_err, ahead_err)
+        # last observations, straight into the acceleration row.
+        u = self._accel
+        _gain_accel(_GAINS.take(acts, axis=1, out=self._gains, mode="clip"), self._errors, u)
         # The first agent follows the virtual car or the replayed leader,
         # whose motion over the step comes from the leader sequence.
-        vel = self._velocities
         lead_v_next = self._leader_velocity(k + 1)
-        lead_u = (lead_v_next - vel[1, 0]) / dt
-        d, v = _kinematics(values[0, a], vel, lead_u, u, dt)
-        values[0, a], values[1, a], values[2, a] = d, v, u
-        if a.start:
-            values[1:3, 0] = lead_v_next, lead_u
+        lead_u = (lead_v_next - self._lead_v) / dt
+        d = self._spacing
+        _kinematics(d, self._vel_pairs, lead_u, u, self._dt, self._agent_motion, self._acc, self._dist)
+        if self.agents.start:
+            values = self._values
+            values[1, 0] = lead_v_next
+            values[2, 0] = lead_u
         self._step_idx = k + 1
-        values[3] = _power_kw(self._power_law, values[1], values[2])
+        _power_kw(self._power_law, *self._power_rows, self._power_scratch)
 
-        rewards = _reward(self._reward_law, d, v, u, values[3, a])
-        crashed = d <= MIN_SPACING
+        rewards = _reward(self._reward_law, self._agent_values, self._rewards, self._reward_errors)
+        crashed = np.less_equal(d, MIN_SPACING, out=self._crashed)
         collisions = int(np.count_nonzero(crashed))
         if collisions:
             rewards -= self.reward.collision_penalty * crashed
-        values[4, a] = rewards
         self._done = collisions > 0 or self._step_idx >= cfg.episode_steps
         return StepOutcome(
             observations=self._observations(),
-            rewards=rewards,
+            rewards=rewards.copy(),
             done=self._done,
             collisions=collisions,
         )

@@ -45,8 +45,16 @@ def headway_velocity(params: OvmParams, d: float | np.ndarray) -> float | np.nda
     half-cosine ramp in between. Continuous and non-decreasing in d."""
     if not _all_finite(d):
         raise ValueError("headway_velocity requires finite d")
-    frac = np.minimum(np.maximum((d - params.d_stop) / (params.d_go - params.d_stop), 0.0), 1.0)
-    return 0.5 * params.v_max * (1.0 - np.cos(np.pi * frac))
+    # One fresh array, each step of the ramp written over it.
+    v_h = np.subtract(d, params.d_stop, out=np.empty(np.shape(d)))
+    v_h /= params.d_go - params.d_stop
+    np.maximum(v_h, 0.0, out=v_h)
+    np.minimum(v_h, 1.0, out=v_h)
+    v_h *= np.pi
+    np.cos(v_h, out=v_h)
+    np.subtract(1.0, v_h, out=v_h)
+    v_h *= 0.5 * params.v_max
+    return v_h[()]
 
 
 def ovm_accel(
@@ -61,10 +69,20 @@ def ovm_accel(
     # d is checked by headway_velocity.
     if not (_all_finite(v) and _all_finite(v_prev)):
         raise ValueError("ovm_accel requires finite inputs")
-    return _gain_accel(params.alpha, params.beta, headway_velocity(params, d) - v, v_prev - v)
+    ahead_err = np.subtract(v_prev, v)
+    head_err = np.subtract(headway_velocity(params, d), v)
+    shape = np.broadcast_shapes(*map(np.shape, (params.alpha, params.beta, ahead_err, head_err)))
+    gains, errors = np.empty((2, 2, *shape))
+    gains[0], gains[1] = params.beta, params.alpha
+    errors[0], errors[1] = ahead_err, head_err
+    return _gain_accel(gains, errors, np.empty(shape))[()]
 
 
-def _gain_accel(alpha, beta, head_err, ahead_err):
-    """ovm_accel without its checks, from the velocity errors to the headway
-    velocity, v_h(d) - v, and to the predecessor, v_prev - v."""
-    return _actuate(alpha * head_err + beta * ahead_err)
+def _gain_accel(gains: np.ndarray, errors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ovm_accel without its checks, into out. gains is the (2, ...) block
+    of beta and alpha, errors that of the velocity errors to the
+    predecessor, v_prev - v, and to the headway velocity, v_h(d) - v; the
+    products overwrite gains."""
+    np.multiply(gains, errors, out=gains)
+    np.add(gains[0], gains[1], out=out)
+    return _actuate(out, out)

@@ -72,25 +72,28 @@ def _all_finite(x) -> bool:
     return np.count_nonzero(finite) == finite.size
 
 
-def _actuate(u_cmd):
-    """A commanded acceleration clipped to the actuation box."""
-    return np.minimum(np.maximum(u_cmd, U_MIN), U_MAX)
+def _actuate(u_cmd, out=None):
+    """A commanded acceleration clipped to the actuation box, into out when
+    given."""
+    return np.minimum(np.maximum(u_cmd, U_MIN, out=out), U_MAX, out=out)
 
 
-def _travel(v: np.ndarray, u: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray | None]:
+def _travel(v: np.ndarray, u: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray | None:
     """Final velocity over dt under constant u, clipped to [V_MIN, V_MAX],
-    and the mask of the vehicles the clip binds on, None where it binds on
-    none. A zero command coasts at v, even outside the bounds.
+    into out; returns the mask of the vehicles the clip binds on, None where
+    it binds on none. A zero command coasts at v, even outside the bounds.
 
     The bound test reads a list: on a few vehicles two NumPy reductions
     cost more than the conversion.
     """
-    v_end = v + u * dt
+    v_end = np.multiply(u, dt, out=out)
+    np.add(v, v_end, out=v_end)
     listed = v_end.tolist()
     if V_MIN <= min(listed) and max(listed) <= V_MAX:
-        return v_end, None
+        return None
     clipped = (u != 0.0) & ((v_end < V_MIN) | (v_end > V_MAX))
-    return np.where(clipped, np.where(v_end > V_MAX, V_MAX, V_MIN), v_end), clipped
+    np.copyto(v_end, np.where(v_end > V_MAX, V_MAX, V_MIN), where=clipped)
+    return clipped
 
 
 def _clipped_distance(v: np.ndarray, u: np.ndarray, bound: np.ndarray, dt: float) -> np.ndarray:
@@ -138,34 +141,51 @@ def step_kinematics(
     d, v, u_cmd = (np.broadcast_to(x, shape).reshape(-1) for x in (d, v, u_cmd))
     u = _actuate(u_cmd)
     vel = np.array((v, np.concatenate(([v_prev], v[:-1]))))
-    spacing, v_new = _kinematics(d, vel, u_prev, u, dt)
-    return tuple(x.reshape(shape)[()] for x in (spacing, v_new, u))
+    out = np.empty_like(vel)
+    _kinematics(d, vel, u_prev, u, dt, out, np.empty_like(vel), np.empty_like(vel))
+    return tuple(x.reshape(shape)[()] for x in (*out, u))
 
 
 def _kinematics(
-    d: np.ndarray, vel: np.ndarray, u_lead: float, u: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """step_kinematics on 1-D float arrays, without its checks: the new
-    spacing and velocity. vel is the (2, n) block of each vehicle's own and
-    predecessor velocity, u_lead the first predecessor's acceleration and u
-    the command, already in the actuation box."""
+    d: np.ndarray,
+    vel: np.ndarray,
+    u_lead: float,
+    u: np.ndarray,
+    dt: float,
+    out: np.ndarray,
+    acc: np.ndarray,
+    dist: np.ndarray,
+) -> None:
+    """step_kinematics on 1-D float arrays, without its checks: writes the
+    new spacing and velocity into the rows of out, a (2, n) block that d may
+    share. vel is the (2, n) block of each vehicle's own and predecessor
+    velocity, u_lead the first predecessor's acceleration and u the command,
+    already in the actuation box; acc and dist are (2, n) scratch blocks."""
     v = vel[0]
-    v_new, clipped = _travel(v, u, dt)
+    spacing, v_new = out[0], out[1]
+    clipped = _travel(v, u, dt, v_new)
     # Each vehicle and its predecessor travel in one (2, n) pass; the
     # predecessors in the platoon move at their realized accelerations.
-    acc = np.empty_like(vel)
     acc[0] = u
     acc[1, 0] = u_lead
-    acc[1, 1:] = (v_new[:-1] - v[:-1]) / dt
-    dist = vel * dt + 0.5 * acc * dt * dt
+    ahead = acc[1, 1:]
+    np.subtract(v_new[:-1], v[:-1], out=ahead)
+    ahead /= dt
+    # dist = vel dt + 0.5 acc dt dt
+    np.multiply(0.5, acc, out=acc)
+    acc *= dt
+    acc *= dt
+    np.multiply(vel, dt, out=dist)
+    dist += acc
     if clipped is not None:
         dist[0, clipped] = _clipped_distance(v[clipped], u[clipped], v_new[clipped], dt)
-    return d + dist[1] - dist[0], v_new
+    np.add(d, dist[1], out=spacing)
+    spacing -= dist[0]
 
 
 # The constants of driving_force and electric_power: m, m g f,
 # rho A_f C_d / 2 and eta, as floats or as rows of an array.
-_PowerLaw = tuple[float, float, float, float] | np.ndarray
+_PowerLaw = tuple[float, float, float, float] | tuple[np.ndarray, ...]
 
 
 def _power_law(params: VehicleParams) -> _PowerLaw:
@@ -177,19 +197,38 @@ def _power_law(params: VehicleParams) -> _PowerLaw:
     )
 
 
-def _force(law: _PowerLaw, v, u):
-    """driving_force without its checks."""
+def _force(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """driving_force without its checks, into out; scratch is an array of
+    out's shape."""
     mass, rolling, drag, _ = law
-    return mass * u + rolling + drag * v * v
+    np.multiply(mass, u, out=out)
+    out += rolling
+    np.multiply(drag, v, out=scratch)
+    scratch *= v
+    out += scratch
+    return out
 
 
-def _power_kw(law: _PowerLaw, v, u):
-    """electric_power without its checks."""
-    wheel_w = _force(law, v, u) * v
+def _power_kw(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """electric_power without its checks, into out; scratch is an array of
+    out's shape."""
+    wheel_w = _force(law, v, u, out, scratch)
+    wheel_w *= v
     eta = law[3]
     # With eta in (0, 1], wheel_w / eta is the larger of the two exactly
     # when wheel_w >= 0, and the maximum picks one of them unchanged.
-    return np.maximum(wheel_w / eta, wheel_w * eta) / 1000.0
+    np.divide(wheel_w, eta, out=scratch)
+    wheel_w *= eta
+    np.maximum(scratch, wheel_w, out=out)
+    out /= 1000.0
+    return out
+
+
+def _operating_points(v, u) -> tuple[np.ndarray, ...]:
+    """v and u as float arrays of one shape, and two fresh arrays of that
+    shape for a law's result and scratch."""
+    v, u = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(u, dtype=float))
+    return v, u, np.empty(v.shape), np.empty(v.shape)
 
 
 def driving_force(
@@ -202,7 +241,8 @@ def driving_force(
         F = m u + m g f + (1/2) rho A_f C_d v^2
     """
     _require_finite("driving_force", v, u)
-    return _force(_power_law(params), v, u)
+    v, u, out, scratch = _operating_points(v, u)
+    return _force(_power_law(params), v, u, out, scratch)[()]
 
 
 def electric_power(
@@ -218,7 +258,8 @@ def electric_power(
         P = F v * eta   otherwise
     """
     _require_finite("electric_power", v, u)
-    return _power_kw(_power_law(params), v, u)
+    v, u, out, scratch = _operating_points(v, u)
+    return _power_kw(_power_law(params), v, u, out, scratch)[()]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np

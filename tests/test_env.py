@@ -6,6 +6,7 @@ the only nonzero one at the set point, so r = -10 * 4.86383 / 135 =
 -0.3602837 per step.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from platoonrl.env import (
     obs_dim_for,
 )
 from platoonrl.errors import ConfigError
+from platoonrl.ovm import ovm_accel
+from platoonrl.vehicle import MIN_SPACING, V_MAX, electric_power, step_kinematics
 
 W = RewardWeights()
 IA2C = obs_dim_for("ia2c")
@@ -377,3 +380,91 @@ class TestStep:
 
     def test_action_gain_table(self):
         assert ACTION_GAINS == ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5))
+
+
+class TestBeforeReset:
+    @pytest.mark.parametrize("method", ["vehicle_values", "vehicle_log_rows"])
+    def test_values_before_the_first_reset_raise(self, method):
+        env = PlatoonEnv(quiet_scenario())
+        with pytest.raises(RuntimeError, match=r"reset\(\) first"):
+            getattr(env, method)()
+        env.reset()
+        getattr(env, method)()
+
+    def test_step_before_the_first_reset_raises(self):
+        env = PlatoonEnv(quiet_scenario())
+        with pytest.raises(RuntimeError, match=r"reset\(\) first"):
+            env.step([0, 0, 0])
+
+
+def oracle_step(env, before, actions):
+    """The checked public laws on the state before a step: the command from
+    ovm_accel under each agent's gain pair, the new spacing and velocity
+    from step_kinematics, every vehicle's power from electric_power, and
+    the agents' rewards from compute_reward less the collision penalty."""
+    a, dt, k = env.agents, env.cfg.dt, env._step_idx
+    spacing, velocity = before[0, a], before[1, a]
+    lead_v, lead_v_next = env._leader_velocity(k), env._leader_velocity(k + 1)
+    lead_u = (lead_v_next - lead_v) / dt
+    alpha, beta = np.array(ACTION_GAINS)[actions].T
+    ahead = np.concatenate(([lead_v], velocity[:-1]))
+    u_cmd = ovm_accel(dataclasses.replace(env.ovm, alpha=alpha, beta=beta), spacing, velocity, ahead)
+    d, v, u = step_kinematics(spacing, velocity, lead_v, lead_u, u_cmd, dt)
+    values = np.full_like(before, math.nan)
+    values[:3, a] = d, v, u
+    if a.start:
+        values[1:3, 0] = lead_v_next, lead_u
+    values[3] = electric_power(env.vehicle, values[1], values[2])
+    crashed = d <= MIN_SPACING
+    values[4, a] = compute_reward(
+        env.reward, d, v, u, values[3, a], env.cfg.d_star, env.cfg.v_star
+    ) - env.reward.collision_penalty * crashed
+    return values, int(np.count_nonzero(crashed))
+
+
+class TestInPlaceStepOracle:
+    """Each in-place step against the checked public laws, bit for bit,
+    over whole seeded episodes."""
+
+    def run_episode(self, env, seed, fprint):
+        rng = np.random.default_rng(seed)
+        env.reset(seed=seed)
+        state = env._values
+        velocities = []
+        for k in range(env.cfg.episode_steps):
+            actions = rng.integers(0, N_ACTIONS, env.n_agents)
+            fps = rng.dirichlet(np.ones(N_ACTIONS), env.n_agents) if fprint else None
+            want, collisions = oracle_step(env, env.vehicle_values(), actions)
+            out = env.step(actions, fps)
+            got = env.vehicle_values()
+            assert got.tobytes() == want.tobytes(), k
+            assert out.rewards.tobytes() == want[4, env.agents].tobytes(), k
+            assert out.collisions == collisions, k
+            assert env._values is state
+            velocities.append(got[1])
+            if out.done:
+                break
+        env.reset(seed=seed + 1)
+        assert env._values is state
+        return np.array(velocities), out
+
+    def test_four_vehicles_into_a_collision(self):
+        env = PlatoonEnv(ScenarioConfig(n_vehicles=4))
+        velocities, out = self.run_episode(env, seed=2, fprint=False)
+        assert out.collisions and out.done and len(velocities) < env.cfg.episode_steps
+
+    def test_sixteen_vehicle_trace_replay(self):
+        profile = 15.0 + 2.0 * np.sin(np.arange(700) * 0.01)
+        cfg = ScenarioConfig(n_vehicles=16, leader_mode="trace-replay")
+        env = PlatoonEnv(cfg, leader_profile=profile)
+        velocities, _ = self.run_episode(env, seed=3, fprint=True)
+        assert len(velocities) > 100
+
+    def test_velocity_clip(self):
+        # The replayed leader pulls away at 40 m/s, so the first follower's
+        # velocity clip binds at 30 m/s, then stops dead.
+        profile = np.concatenate([np.full(30, 15.0), np.full(100, 40.0), np.zeros(600)])
+        cfg = ScenarioConfig(n_vehicles=5, leader_mode="trace-replay")
+        env = PlatoonEnv(cfg, leader_profile=profile)
+        velocities, _ = self.run_episode(env, seed=4, fprint=False)
+        assert (velocities[:, 1] == V_MAX).any()

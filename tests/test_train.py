@@ -12,7 +12,6 @@ from platoonrl.env import N_ACTIONS, PlatoonEnv, ScenarioConfig, obs_dim_for
 from platoonrl.errors import ConfigError
 from platoonrl.nn import flatten_params, param_count
 from platoonrl.train import (
-    EvalReport,
     TrainConfig,
     _episode_tape,
     compare_protocols,
