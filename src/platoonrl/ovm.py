@@ -45,16 +45,8 @@ def headway_velocity(params: OvmParams, d: float | np.ndarray) -> float | np.nda
     half-cosine ramp in between. Continuous and non-decreasing in d."""
     if not _all_finite(d):
         raise ValueError("headway_velocity requires finite d")
-    # One fresh array, each step of the ramp written over it.
-    v_h = np.subtract(d, params.d_stop, out=np.empty(np.shape(d)))
-    v_h /= params.d_go - params.d_stop
-    np.maximum(v_h, 0.0, out=v_h)
-    np.minimum(v_h, 1.0, out=v_h)
-    v_h *= np.pi
-    np.cos(v_h, out=v_h)
-    np.subtract(1.0, v_h, out=v_h)
-    v_h *= 0.5 * params.v_max
-    return v_h[()]
+    frac = np.minimum(np.maximum((d - params.d_stop) / (params.d_go - params.d_stop), 0.0), 1.0)
+    return 0.5 * params.v_max * (1.0 - np.cos(np.pi * frac))
 
 
 def ovm_accel(

@@ -383,18 +383,16 @@ class TestStep:
 
 
 class TestBeforeReset:
-    @pytest.mark.parametrize("method", ["vehicle_values", "vehicle_log_rows"])
-    def test_values_before_the_first_reset_raise(self, method):
+    @pytest.mark.parametrize(
+        "method, args",
+        [("vehicle_values", ()), ("vehicle_log_rows", ()), ("step", ([0, 0, 0],))],
+    )
+    def test_platoon_calls_before_the_first_reset_raise(self, method, args):
         env = PlatoonEnv(quiet_scenario())
         with pytest.raises(RuntimeError, match=r"reset\(\) first"):
-            getattr(env, method)()
+            getattr(env, method)(*args)
         env.reset()
-        getattr(env, method)()
-
-    def test_step_before_the_first_reset_raises(self):
-        env = PlatoonEnv(quiet_scenario())
-        with pytest.raises(RuntimeError, match=r"reset\(\) first"):
-            env.step([0, 0, 0])
+        getattr(env, method)(*args)
 
 
 def oracle_step(env, before, actions):
