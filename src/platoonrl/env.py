@@ -323,7 +323,7 @@ class PlatoonEnv:
         # 5-vectors entry by entry, their fingerprints agent by agent, and a
         # zero for the neighbors that are not agents.
         self._obs_source = np.zeros((_OWN_DIM + N_ACTIONS) * n_agents + 1)
-        self._own = own = self._obs_source[: _OWN_DIM * n_agents].reshape(_OWN_DIM, n_agents)
+        own = self._obs_source[: _OWN_DIM * n_agents].reshape(_OWN_DIM, n_agents)
         self._own_v, self._own_errors, self._own_gap, self._own_accel = (
             own[0], own[1:3], own[3], own[4]
         )
@@ -358,9 +358,9 @@ class PlatoonEnv:
         self._acc = np.empty((2, n_agents))
         self._dist = np.empty((2, n_agents))
         self._reward_errors = np.empty((4, n_agents))
+        self._crashed = np.empty(n_agents, dtype=bool)
         # dt as a 0-d array: NumPy converts a Python float anew on each call.
         self._dt = np.array(cfg.dt)
-        self._crashed = np.empty(n_agents, dtype=bool)
         self._v0: np.ndarray | None = None
         self._fingerprints: np.ndarray | None = None
         self._step_idx = 0

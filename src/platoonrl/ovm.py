@@ -61,8 +61,8 @@ def ovm_accel(
     # d is checked by headway_velocity.
     if not (_all_finite(v) and _all_finite(v_prev)):
         raise ValueError("ovm_accel requires finite inputs")
-    ahead_err = np.subtract(v_prev, v)
-    head_err = np.subtract(headway_velocity(params, d), v)
+    ahead_err = v_prev - v
+    head_err = headway_velocity(params, d) - v
     shape = np.broadcast_shapes(*map(np.shape, (params.alpha, params.beta, ahead_err, head_err)))
     gains, errors = np.empty((2, 2, *shape))
     gains[0], gains[1] = params.beta, params.alpha
