@@ -98,8 +98,10 @@ def _leader_profile(
 ) -> data_mod.LeaderProfile | None:
     """The replayed-leader profile a trace-replay scenario needs: the
     --leader-col column of --trace over --window (the whole trace when
-    absent), sampled every scenario.dt."""
+    absent), sampled every scenario.dt. Other scenarios take neither flag."""
     if scenario.leader_mode != "trace-replay":
+        if args.trace is not None or args.window:
+            raise ConfigError("--trace and --window need scenario.leader_mode: trace-replay")
         return None
     if args.trace is None:
         raise ConfigError("trace-replay scenarios require --trace")
@@ -143,15 +145,13 @@ def _write_rollout_log(log: np.ndarray, path: Path) -> None:
     write_csv(path, ["step", "vehicle", *LOG_FIELDS], rows)
 
 
-def _cmd_fit_energy(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def _cmd_fit_energy(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     try:
         nv_s, nu_s = args.grid.lower().split("x")
         n_v, n_u = int(nv_s), int(nu_s)
     except ValueError:
         raise ConfigError(f"--grid expects NVxNU, got {args.grid!r}") from None
     poly, rmse = fit_energy_poly(cfg.vehicle, n_v, n_u)
-    out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "energy_poly.csv"
     header = [f"p{k}{j}" for k in range(5) for j in range(5)]
@@ -160,11 +160,9 @@ def _cmd_fit_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def _cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     profile = _leader_profile(args, cfg.scenario)
     leader = None if profile is None else profile.velocities
-    out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
         t_start = time.perf_counter()
@@ -185,11 +183,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def _cmd_eval(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     profile = _leader_profile(args, cfg.scenario)
     leader = None if profile is None else profile.velocities
-    out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
     checkpoint_dir = args.checkpoint_dir or str(out / "checkpoints" / f"seed{seed}")
@@ -209,12 +205,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     """One greedy rollout behind the --window of --trace; its three output
     files are written only once the rollout has run."""
     if not args.window:
         raise ConfigError("replay requires --window")
-    cfg = _load_run_config(args)
     scenario = replace(cfg.scenario, leader_mode="trace-replay")
     profile = _leader_profile(args, scenario)
     scenario = replace(scenario, episode_steps=max(1, len(profile) - 1))
@@ -223,7 +218,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"replay: using {source}")
     ep = rollout(env, nn.stack_nets(nets), cfg.train.obs_mode, scenario.seed)
     row = episode_row(env, scenario.seed, ep.collisions, ep.log)
-    out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_mod.save_profile(profile, out / "leader_profile.csv")
     _write_rollout_log(ep.log, out / "replay_log.csv")
@@ -238,8 +232,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_consensus_bench(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
+def _cmd_consensus_bench(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     protocols = [args.protocol] if args.protocol else ["bdc", "wac", "dcea"]
     n_agents = cfg.scenario.n_agents
     rows = consensus_bench(
@@ -250,7 +243,6 @@ def _cmd_consensus_bench(args: argparse.Namespace) -> int:
         tau=cfg.train.consensus.tau,
         seed=cfg.seeds[0],
     )
-    out = resolve_output_dir(cfg, args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "consensus_bench.csv"
     write_consensus_bench(rows, path)
@@ -260,9 +252,7 @@ def _cmd_consensus_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_size(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    out = resolve_output_dir(cfg, args.output_dir)
+def _cmd_sweep_size(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
     rows = []
@@ -313,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        cfg = _load_run_config(args)
+        return args.handler(args, cfg, resolve_output_dir(cfg, args.output_dir))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

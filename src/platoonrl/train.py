@@ -9,7 +9,7 @@ LSTM carry reset at every episode start.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -532,42 +532,6 @@ def evaluate(
         collisions=int(col("collisions").sum()),
     )
     return EvalReport(rows=rows, aggregate=aggregate)
-
-
-@dataclass
-class ProtocolRun:
-    protocol: str
-    log: list[LogRow]
-    report: EvalReport
-    comm_bits: int
-
-
-def compare_protocols(
-    cfg: TrainConfig,
-    scenario: ScenarioConfig,
-    protocols: list[str],
-    *,
-    seed: int | None = None,
-    hidden_dim: int = nn.HIDDEN_DIM,
-) -> dict[str, ProtocolRun]:
-    """Train one run per protocol with matched seed and scenario, then
-    evaluate each; results share episode counts by construction."""
-    if not protocols:
-        raise ConfigError("compare_protocols requires at least one protocol")
-    out: dict[str, ProtocolRun] = {}
-    for protocol in protocols:
-        run_cfg = replace(cfg, consensus=replace(cfg.consensus, protocol=protocol))
-        result = train(run_cfg, scenario, seed=seed, hidden_dim=hidden_dim)
-        report = evaluate(
-            result.nets, scenario, run_cfg.eval_seeds, obs_mode=run_cfg.obs_mode
-        )
-        out[protocol] = ProtocolRun(
-            protocol=protocol,
-            log=result.log,
-            report=report,
-            comm_bits=result.comm_bits,
-        )
-    return out
 
 
 def consensus_bench(

@@ -285,14 +285,8 @@ class EnergyPoly:
 
 
 def eval_energy_poly(poly: EnergyPoly, v: float, u: float) -> float:
-    """Evaluate the surrogate at (v, u) in kW via nested Horner."""
-    acc = 0.0
-    for row in poly.coeffs[::-1]:
-        inner = 0.0
-        for c in row[::-1]:
-            inner = inner * u + c
-        acc = acc * v + inner
-    return acc
+    """Evaluate the surrogate at (v, u) in kW."""
+    return float(np.polynomial.polynomial.polyval2d(v, u, poly.coeffs))
 
 
 def _poly_design(v: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,11 @@
 """Shared fixtures: synthetic traces and a small run config on disk."""
 
+import os
+
+# One BLAS thread, as README and the bench run the package: a second thread
+# burns CPU time with no wall-time gain. Set before anything loads NumPy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import math
 from pathlib import Path
 

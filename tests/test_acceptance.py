@@ -24,7 +24,6 @@ from platoonrl import (
     TrainConfig,
     VehicleParams,
     bdc_round,
-    compare_protocols,
     dcea_round,
     driving_force,
     electric_power,
@@ -209,10 +208,16 @@ def test_08_communication_accounting(capsys):
             init_velocity_jitter=0.0,
             seed=0,
         )
-        cfg = TrainConfig(total_steps=60, eval_seeds=1)
-        runs = compare_protocols(cfg, scenario, ["bdc", "wac"], hidden_dim=8)
-        assert runs["bdc"].comm_bits > 0
-        assert runs["bdc"].comm_bits * 16 == runs["wac"].comm_bits
+        bits = {
+            protocol: train(
+                TrainConfig(total_steps=60, consensus=ConsensusConfig(protocol=protocol)),
+                scenario,
+                hidden_dim=8,
+            ).comm_bits
+            for protocol in ("bdc", "wac")
+        }
+        assert bits["bdc"] > 0
+        assert bits["bdc"] * 16 == bits["wac"]
 
 
 def test_09_determinism(capsys, tiny_config, tmp_path):

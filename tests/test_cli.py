@@ -32,11 +32,39 @@ class TestExitCodes:
         assert run_cli("train") == 1
         assert "config" in capsys.readouterr().err
 
-    def test_bad_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", ["fit-energy", "train", "eval", "replay", "consensus-bench", "sweep-size"]
+    )
+    def test_bad_config_key(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("simulator: {}\n")
-        assert run_cli("train", "--config", str(cfg)) == 1
-        assert "unknown key" in capsys.readouterr().err
+        assert run_cli(command, "--config", str(cfg), "--output-dir", "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key" in err
+        assert len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"], "no output directory"
+
+    @pytest.mark.parametrize(
+        "flags", [("--trace",), ("--window",), ("--trace", "--window")],
+        ids=["trace", "window", "both"],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_trace_flags_need_trace_replay(
+        self, command, flags, tiny_config, trace_20s, tmp_path, capsys
+    ):
+        # tiny_config's leader follows its virtual target, so a trace or a
+        # window there would be ignored.
+        values = {"--trace": str(trace_20s), "--window": "1:10"}
+        out = tmp_path / "tv"
+        argv = [command, "--config", str(tiny_config), "--output-dir", str(out)]
+        for flag in flags:
+            argv += [flag, values[flag]]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scenario.leader_mode: trace-replay" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_unknown_protocol_override_is_config_error(self, tiny_config, tmp_path, capsys):
         code = run_cli(

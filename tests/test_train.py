@@ -14,7 +14,6 @@ from platoonrl.nn import flatten_params, param_count
 from platoonrl.train import (
     TrainConfig,
     _episode_tape,
-    compare_protocols,
     consensus_bench,
     discounted_returns,
     evaluate,
@@ -351,11 +350,15 @@ class TestEvaluate:
 
 class TestCompareProtocols:
     def test_bit_meter_ratio(self):
+        # One run per protocol at the same seed and scenario.
         scenario = tiny_scenario()
-        cfg = tiny_train()
-        runs = compare_protocols(cfg, scenario, ("bdc", "wac"), hidden_dim=8)
-        assert sorted(runs) == ["bdc", "wac"]
-        assert runs["bdc"].comm_bits * 16 == runs["wac"].comm_bits
+        bits = {
+            protocol: train(
+                tiny_train(consensus=ConsensusConfig(protocol=protocol)), scenario, hidden_dim=8
+            ).comm_bits
+            for protocol in ("bdc", "wac")
+        }
+        assert bits["bdc"] * 16 == bits["wac"]
 
 
 class TestConsensusBench:
