@@ -54,11 +54,11 @@ _FLAGS: dict[str, dict] = {
     "--checkpoint-dir": dict(help="checkpoint directory to load"),
     "--trace": dict(help="trace CSV for trace-replay scenarios (replay: required)"),
     "--window": dict(help="trace window as t0:t1 seconds (replay: required)"),
-    "--leader-col": dict(default="v1", help="trace leader column"),
+    "--leader-col": dict(help="trace leader column (default v1)"),
     "--grid": dict(default="61x51", help="fit grid as NVxNU, e.g. 61x51"),
     "--rounds": dict(type=int, default=500, help="mixing rounds"),
 }
-_COMMON = ("--config", "--output-dir", "--seed")
+_COMMON = ("--config", "--output-dir")
 _TRACE = ("--trace", "--window", "--leader-col")
 
 
@@ -87,7 +87,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "steps", None) is not None:
         train_cfg = replace(train_cfg, total_steps=args.steps)
     seeds = cfg.seeds
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         seeds = [args.seed]
         scenario = replace(scenario, seed=args.seed)
     return replace(cfg, scenario=scenario, train=train_cfg, seeds=seeds)
@@ -98,10 +98,10 @@ def _leader_profile(
 ) -> data_mod.LeaderProfile | None:
     """The replayed-leader profile a trace-replay scenario needs: the
     --leader-col column of --trace over --window (the whole trace when
-    absent), sampled every scenario.dt. Other scenarios take neither flag."""
+    absent), sampled every scenario.dt. Other scenarios take none of them."""
     if scenario.leader_mode != "trace-replay":
-        if args.trace is not None or args.window:
-            raise ConfigError("--trace and --window need scenario.leader_mode: trace-replay")
+        if args.trace is not None or args.window or args.leader_col is not None:
+            raise ConfigError("--trace/--window/--leader-col need scenario.leader_mode: trace-replay")
         return None
     if args.trace is None:
         raise ConfigError("trace-replay scenarios require --trace")
@@ -113,7 +113,8 @@ def _leader_profile(
             t0, t1 = map(float, args.window.split(":"))
         except ValueError:
             raise ConfigError(f"--window expects t0:t1, got {args.window!r}") from None
-    return data_mod.extract_window(table, args.leader_col, t0, t1, scenario.dt)
+    column = "v1" if args.leader_col is None else args.leader_col
+    return data_mod.extract_window(table, column, t0, t1, scenario.dt)
 
 
 def _models(cfg: RunConfig) -> dict[str, object]:
@@ -122,10 +123,10 @@ def _models(cfg: RunConfig) -> dict[str, object]:
 
 
 def _nets_for(
-    cfg: RunConfig, checkpoint_dir: str | None, n_agents: int, seed: int
+    cfg: RunConfig, checkpoint_dir: str | Path | None, n_agents: int, seed: int
 ) -> tuple[list[nn.AgentNet], str]:
-    """Load checkpoints when the directory exists, else fresh seeded networks."""
-    if checkpoint_dir is not None and Path(checkpoint_dir).exists():
+    """Load the checkpoints in checkpoint_dir, or fresh seeded networks without one."""
+    if checkpoint_dir is not None:
         nets = load_checkpoints(checkpoint_dir, n_agents, cfg.train.obs_mode)
         return nets, f"checkpoints from {checkpoint_dir}"
     obs_dim = obs_dim_for(cfg.train.obs_mode)
@@ -186,10 +187,12 @@ def _cmd_train(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 def _cmd_eval(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     profile = _leader_profile(args, cfg.scenario)
     leader = None if profile is None else profile.velocities
-    out.mkdir(parents=True, exist_ok=True)
     seed = cfg.seeds[0]
-    checkpoint_dir = args.checkpoint_dir or str(out / "checkpoints" / f"seed{seed}")
+    # Of the checkpoint directories only the default, where train writes, may be missing.
+    default_dir = out / "checkpoints" / f"seed{seed}"
+    checkpoint_dir = args.checkpoint_dir or (default_dir if default_dir.exists() else None)
     nets, source = _nets_for(cfg, checkpoint_dir, cfg.scenario.n_agents, seed)
+    out.mkdir(parents=True, exist_ok=True)
     print(f"eval: using {source}")
     report = evaluate(
         nets, cfg.scenario, cfg.train.eval_seeds, obs_mode=cfg.train.obs_mode,
@@ -287,15 +290,15 @@ def _cmd_sweep_size(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 _COMMANDS = {
     "fit-energy": (_cmd_fit_energy, "fit the power surrogate", ("--grid",)),
     "train": (_cmd_train, "train one run per configured seed",
-              ("--protocol", "--steps", "--n-vehicles", "--obs-mode", *_TRACE)),
+              ("--seed", "--protocol", "--steps", "--n-vehicles", "--obs-mode", *_TRACE)),
     "eval": (_cmd_eval, "evaluate trained checkpoints",
-             ("--n-vehicles", "--obs-mode", "--checkpoint-dir", *_TRACE)),
+             ("--seed", "--n-vehicles", "--obs-mode", "--checkpoint-dir", *_TRACE)),
     "replay": (_cmd_replay, "replay a recorded leader trace",
-               ("--n-vehicles", "--obs-mode", "--checkpoint-dir", *_TRACE)),
+               ("--seed", "--n-vehicles", "--obs-mode", "--checkpoint-dir", *_TRACE)),
     "consensus-bench": (_cmd_consensus_bench, "benchmark the mixing protocols",
-                        ("--protocol", "--rounds", "--n-vehicles")),
+                        ("--seed", "--protocol", "--rounds", "--n-vehicles")),
     "sweep-size": (_cmd_sweep_size, "train/evaluate platoon sizes 2,4,6,8",
-                   ("--protocol", "--steps", "--obs-mode")),
+                   ("--seed", "--protocol", "--steps", "--obs-mode")),
 }
 
 

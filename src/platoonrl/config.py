@@ -95,17 +95,10 @@ _SECTIONS = {
     "ovm": OvmParams,
 }
 
-# OvmParams gains that a run config does not set: PlatoonEnv takes every
-# action's (alpha, beta) pair from env.ACTION_GAINS.
-_ACTION_GAINS_KEYS = ("alpha", "beta")
-
 
 def config_from_dict(raw: dict[str, Any]) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    for key in _ACTION_GAINS_KEYS:
-        if isinstance(raw.get("ovm"), dict) and key in raw["ovm"]:
-            raise ConfigError(f"ovm.{key}: not a config key; the OVM gains come from ACTION_GAINS")
     kwargs: dict[str, Any] = {}
     for key, value in raw.items():
         if key in _SECTIONS:
@@ -130,8 +123,6 @@ def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
     out: dict[str, Any] = {}
     for name in _SECTIONS:
         out[name] = dataclasses.asdict(getattr(cfg, name))
-    for key in _ACTION_GAINS_KEYS:
-        del out["ovm"][key]
     out["output_dir"] = cfg.output_dir
     out["seeds"] = list(cfg.seeds)
     return out

@@ -276,7 +276,8 @@ class PlatoonEnv:
     handed out is a fresh copy.
     Agents are the vehicles in the `agents` slice, so a replayed leader is
     the one vehicle that is not an agent. Vehicle 0 follows one leader
-    sequence, the velocity of the virtual car or the trace at each step.
+    sequence, the velocity of the virtual car or the trace at each step;
+    leader_profile, the trace, is given for trace-replay scenarios only.
 
     Observation rows hold, per agent: own [v_hat, v_diff_hat, v_headway_hat,
     d_hat, u_hat]; the front and rear neighbor agents' own 5-vectors (zeros
@@ -301,16 +302,16 @@ class PlatoonEnv:
         self.reward = reward if reward is not None else RewardWeights()
         if cfg.d_star <= self.ovm.d_stop:
             raise ConfigError("d_star must exceed the car-following stop gap")
-        if cfg.leader_mode == "trace-replay":
-            if leader_profile is None:
-                raise ConfigError("trace-replay mode requires a leader profile")
+        if (leader_profile is None) == (cfg.leader_mode == "trace-replay"):
+            raise ConfigError("trace-replay mode requires a leader profile, other modes take none")
+        if leader_profile is None:
+            leader = _virtual_target(cfg)
+        else:
             leader = np.asarray(leader_profile, dtype=float)
             if leader.ndim != 1 or leader.size < 2:
                 raise ConfigError("leader profile must be a 1-D array, length >= 2")
             if not np.all(np.isfinite(leader)):
                 raise ConfigError("leader profile must be finite")
-        else:
-            leader = _virtual_target(cfg)
         # The leader sequence's velocities as floats: each step reads two.
         self._leader = leader.tolist()
         # The agent vehicles: the last cfg.n_agents.

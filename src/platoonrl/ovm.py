@@ -15,25 +15,19 @@ from .vehicle import _actuate, _all_finite
 
 @dataclass(frozen=True)
 class OvmParams:
-    """Gains and headway profile of the optimal velocity law.
+    """Headway profile of the optimal velocity law; ovm_accel takes the
+    law's gains as arguments.
 
-    alpha: gain on the headway velocity error, 1/s.
-    beta: gain on the velocity difference to the predecessor, 1/s.
-    Either gain may be an array of one gain per vehicle.
     d_stop: gap (m) at and below which the desired velocity is zero.
     d_go: gap (m) at and above which the desired velocity is v_max.
     v_max: free-flow desired velocity, m/s.
     """
 
-    alpha: float | np.ndarray = 0.5
-    beta: float | np.ndarray = 0.5
     d_stop: float = 5.0
     d_go: float = 35.0
     v_max: float = 30.0
 
     def __post_init__(self) -> None:
-        if np.min(self.alpha) < 0.0 or np.min(self.beta) < 0.0:
-            raise ValueError("OvmParams gains must be non-negative")
         if not 0.0 < self.d_stop < self.d_go:
             raise ValueError("OvmParams requires 0 < d_stop < d_go")
         if self.v_max <= 0.0:
@@ -54,18 +48,24 @@ def ovm_accel(
     d: float | np.ndarray,
     v: float | np.ndarray,
     v_prev: float | np.ndarray,
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
 ) -> float | np.ndarray:
     """Acceleration command u = alpha (v_h(d) - v) + beta (v_prev - v),
-    clipped to the actuation box. Takes floats or arrays; array gains
-    broadcast against the state (see OvmParams)."""
+    clipped to the actuation box. alpha and beta are the gains on the
+    headway and the predecessor velocity errors, 1/s. Takes floats or
+    arrays; array gains hold one gain per vehicle and broadcast against the
+    state."""
     # d is checked by headway_velocity.
     if not (_all_finite(v) and _all_finite(v_prev)):
         raise ValueError("ovm_accel requires finite inputs")
+    if not (_all_finite(alpha) and _all_finite(beta) and min(np.min(alpha), np.min(beta)) >= 0.0):
+        raise ValueError("ovm_accel requires finite, non-negative gains")
     ahead_err = v_prev - v
     head_err = headway_velocity(params, d) - v
-    shape = np.broadcast_shapes(*map(np.shape, (params.alpha, params.beta, ahead_err, head_err)))
+    shape = np.broadcast_shapes(*map(np.shape, (alpha, beta, ahead_err, head_err)))
     gains, errors = np.empty((2, 2, *shape))
-    gains[0], gains[1] = params.beta, params.alpha
+    gains[0], gains[1] = beta, alpha
     errors[0], errors[1] = ahead_err, head_err
     return _gain_accel(gains, errors, np.empty(shape))[()]
 

@@ -390,12 +390,14 @@ def _save_checkpoints(nets: list[nn.AgentNet], directory: str | Path) -> None:
 def load_checkpoints(directory: str | Path, n_agents: int, obs_mode: str) -> list[nn.AgentNet]:
     """Load the n_agents checkpoints that _save_checkpoints writes, as
     networks that stack and take obs_mode's observations. Raises ConfigError
-    when the directory holds another number of agent checkpoints, DataError
-    when a checkpoint's action count is not N_ACTIONS, its hidden width
-    differs from agent 0's, or a parameter is not finite, and, once every
-    file has passed those checks, ConfigError when a checkpoint takes
-    another observation width than obs_mode gives."""
+    when the directory is missing or holds another number of agent
+    checkpoints, DataError when a checkpoint's action count is not
+    N_ACTIONS, its hidden width differs from agent 0's, or a parameter is
+    not finite, and, once every file has passed those checks, ConfigError
+    when a checkpoint takes another observation width than obs_mode gives."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigError(f"checkpoint directory {directory} does not exist")
     found = len(list(directory.glob(CHECKPOINT_NAME.format("*"))))
     if found != n_agents:
         raise ConfigError(

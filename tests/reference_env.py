@@ -85,10 +85,12 @@ def headway_velocity(params: OvmParams, d: float) -> float:
     return 0.5 * params.v_max * (1.0 - math.cos(math.pi * frac))
 
 
-def ovm_accel(params: OvmParams, d: float, v: float, v_prev: float) -> float:
+def ovm_accel(
+    params: OvmParams, d: float, v: float, v_prev: float, alpha: float, beta: float
+) -> float:
     if not (math.isfinite(d) and math.isfinite(v) and math.isfinite(v_prev)):
         raise ValueError("ovm_accel requires finite inputs")
-    u = params.alpha * (headway_velocity(params, d) - v) + params.beta * (v_prev - v)
+    u = alpha * (headway_velocity(params, d) - v) + beta * (v_prev - v)
     return min(max(u, U_MIN), U_MAX)
 
 
@@ -239,15 +241,10 @@ class ReferenceEnv:
         lead_v_next = self._leader_velocity(k + 1)
         for a, i in enumerate(agents):
             alpha, beta = ACTION_GAINS[int(actions[a])]
-            gains = OvmParams(
-                alpha=alpha,
-                beta=beta,
-                d_stop=self.ovm.d_stop,
-                d_go=self.ovm.d_go,
-                v_max=self.ovm.v_max,
-            )
             v_ahead = lead_v_now if i == 0 else v_now[i - 1]
-            u_cmd[i] = ovm_accel(gains, self._states[i].spacing_m, v_now[i], float(v_ahead))
+            u_cmd[i] = ovm_accel(
+                self.ovm, self._states[i].spacing_m, v_now[i], float(v_ahead), alpha, beta
+            )
 
         new_states: list[VehicleState] = []
         prev_v = lead_v_now

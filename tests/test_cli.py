@@ -46,16 +46,18 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"], "no output directory"
 
     @pytest.mark.parametrize(
-        "flags", [("--trace",), ("--window",), ("--trace", "--window")],
-        ids=["trace", "window", "both"],
+        "flags",
+        [("--trace",), ("--window",), ("--trace", "--window"), ("--leader-col",),
+         ("--trace", "--window", "--leader-col")],
+        ids=["trace", "window", "both", "leader-col", "all"],
     )
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_trace_flags_need_trace_replay(
         self, command, flags, tiny_config, trace_20s, tmp_path, capsys
     ):
-        # tiny_config's leader follows its virtual target, so a trace or a
-        # window there would be ignored.
-        values = {"--trace": str(trace_20s), "--window": "1:10"}
+        # tiny_config's leader follows its virtual target, so a trace, a
+        # window or a leader column there would be ignored.
+        values = {"--trace": str(trace_20s), "--window": "1:10", "--leader-col": "v2"}
         out = tmp_path / "tv"
         argv = [command, "--config", str(tiny_config), "--output-dir", str(out)]
         for flag in flags:
@@ -86,8 +88,8 @@ class TestExitCodes:
         code = run_cli("train", "--config", str(cfg), "--output-dir", str(tmp_path / "g"))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ovm.alpha: ") and err.count("\n") == 1
-        assert "ACTION_GAINS" in err
+        assert err == "error: ovm.alpha: unknown key\n"
+        assert not (tmp_path / "g").exists()
 
     def test_mistyped_config_field_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "typed.yaml"
@@ -114,6 +116,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert missing in err
+
+    def test_fit_energy_takes_no_seed(self, tmp_path, capsys):
+        # The fit is deterministic: a seed would change nothing.
+        out = tmp_path / "fit"
+        assert run_cli("fit-energy", "--seed", "3", "--output-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "replay"])
+    def test_missing_checkpoint_dir_is_config_error(
+        self, command, tiny_config, trace_20s, tmp_path, capsys
+    ):
+        # An explicit directory is never replaced by untrained networks.
+        missing, out = tmp_path / "no_such_ckpt", tmp_path / "out"
+        argv = [command, "--config", str(tiny_config), "--output-dir", str(out),
+                "--checkpoint-dir", str(missing)]
+        if command == "replay":
+            argv += ["--trace", str(trace_20s), "--window", "0:5"]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint directory {missing} does not exist\n"
+        assert not out.exists()
 
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys):
         assert run_cli(
@@ -356,6 +382,14 @@ class TestReplayCli:
         stats_lines = (tmp_path / "rp" / "replay_stats.csv").read_text().splitlines()
         assert len(stats_lines) == 3
 
+    def test_leader_col_picks_the_replayed_column(self, tiny_config, trace_20s, tmp_path):
+        assert run_cli(
+            "replay", "--config", str(tiny_config), "--trace", str(trace_20s),
+            "--window", "0:10", "--leader-col", "v2", "--output-dir", str(tmp_path / "rp"),
+        ) == 0
+        profile_lines = (tmp_path / "rp" / "leader_profile.csv").read_text().splitlines()
+        assert profile_lines[0].startswith("# source=v2:0-10 ")
+
     def test_replay_deterministic(self, tiny_config, trace_20s, tmp_path):
         logs = []
         for sub in ("r1", "r2"):
@@ -392,15 +426,15 @@ class TestReplayCli:
 
 class TestHelp:
     @pytest.mark.parametrize("command, flags", [
-        ("fit-energy", ["--output-dir", "--seed", "--grid"]),
-        ("train", ["--config", "--protocol", "--steps", "--n-vehicles", "--obs-mode",
+        ("fit-energy", ["--config", "--output-dir", "--grid"]),
+        ("train", ["--config", "--seed", "--protocol", "--steps", "--n-vehicles", "--obs-mode",
                    "--trace", "--window", "--leader-col"]),
-        ("eval", ["--config", "--n-vehicles", "--obs-mode", "--checkpoint-dir",
+        ("eval", ["--config", "--seed", "--n-vehicles", "--obs-mode", "--checkpoint-dir",
                   "--trace", "--window", "--leader-col"]),
-        ("replay", ["--config", "--n-vehicles", "--obs-mode", "--checkpoint-dir",
+        ("replay", ["--config", "--seed", "--n-vehicles", "--obs-mode", "--checkpoint-dir",
                     "--trace", "--window", "--leader-col"]),
-        ("consensus-bench", ["--config", "--protocol", "--rounds", "--n-vehicles"]),
-        ("sweep-size", ["--config", "--protocol", "--steps", "--obs-mode"]),
+        ("consensus-bench", ["--config", "--seed", "--protocol", "--rounds", "--n-vehicles"]),
+        ("sweep-size", ["--config", "--seed", "--protocol", "--steps", "--obs-mode"]),
     ])
     def test_help_lists_the_flags(self, command, flags, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,6 @@ the only nonzero one at the set point, so r = -10 * 4.86383 / 135 =
 -0.3602837 per step.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -96,6 +95,14 @@ class TestScenarioConfig:
         assert cfg.n_agents == 3
         env = PlatoonEnv(cfg, leader_profile=np.full(5, 15.0))
         assert env.n_agents == 3 and env.agents == slice(1, None)
+
+    def test_leader_profile_only_with_trace_replay(self):
+        # A virtual-target platoon follows its own leader car, so a trace
+        # there would be ignored; a trace-replay platoon needs one.
+        with pytest.raises(ConfigError, match="leader profile"):
+            PlatoonEnv(ScenarioConfig(), leader_profile=np.full(5, 15.0))
+        with pytest.raises(ConfigError, match="leader profile"):
+            PlatoonEnv(ScenarioConfig(leader_mode="trace-replay"))
 
     def test_obs_dims(self):
         assert obs_dim_for("ia2c") == 15
@@ -406,7 +413,7 @@ def oracle_step(env, before, actions):
     lead_u = (lead_v_next - lead_v) / dt
     alpha, beta = np.array(ACTION_GAINS)[actions].T
     ahead = np.concatenate(([lead_v], velocity[:-1]))
-    u_cmd = ovm_accel(dataclasses.replace(env.ovm, alpha=alpha, beta=beta), spacing, velocity, ahead)
+    u_cmd = ovm_accel(env.ovm, spacing, velocity, ahead, alpha, beta)
     d, v, u = step_kinematics(spacing, velocity, lead_v, lead_u, u_cmd, dt)
     values = np.full_like(before, math.nan)
     values[:3, a] = d, v, u

@@ -237,11 +237,10 @@ def test_ovm_law_matches_reference(rows):
     d, v, v_prev, acts = (np.array(col) for col in zip(*rows))
     gains = np.array([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])[acts]
     got_vh = headway_velocity(OvmParams(), d)
-    got_u = ovm_accel(OvmParams(alpha=gains[:, 0], beta=gains[:, 1]), d, v, v_prev)
+    got_u = ovm_accel(OvmParams(), d, v, v_prev, gains[:, 0], gains[:, 1])
     for i in range(len(rows)):
-        params = OvmParams(alpha=gains[i, 0], beta=gains[i, 1])
-        assert got_vh[i] == ref_mod.headway_velocity(params, d[i])
-        assert got_u[i] == ref_mod.ovm_accel(params, d[i], v[i], v_prev[i])
+        assert got_vh[i] == ref_mod.headway_velocity(OvmParams(), d[i])
+        assert got_u[i] == ref_mod.ovm_accel(OvmParams(), d[i], v[i], v_prev[i], *gains[i])
 
 
 def side_by_side(cfg, profile, seed, fprint):
