@@ -22,6 +22,7 @@ from .vehicle import (
     VehicleParams,
     _all_finite,
     _kinematics,
+    _kinematics_rows,
     _power_kw,
     _power_law,
 )
@@ -53,6 +54,10 @@ _ERROR_ROWS = np.array([0, 1, 2, 0])
 
 # Per-vehicle values of a step, in the order of PlatoonEnv.vehicle_values().
 LOG_FIELDS = ("spacing_m", "velocity_mps", "accel_mps2", "power_kw", "reward")
+
+# The collision test's bound as a 0-d array: NumPy converts a Python float
+# operand anew on every call.
+_MIN_SPACING = np.array(MIN_SPACING)
 
 
 def obs_dim_for(mode: str) -> int:
@@ -172,7 +177,7 @@ def compute_reward(
     n = d.size
     law = _reward_law(weights, d_star, v_star, n)
     values = np.array([np.reshape(x, -1) for x in (d, v, u, power_kw)], dtype=float)
-    rewards = _reward(law, values, np.empty(n), np.empty((4, n)))
+    rewards = _reward(law, _reward_rows(values), np.empty(n))
     return rewards.reshape(d.shape)[()]
 
 
@@ -198,12 +203,22 @@ def _reward_law(
     return offsets, caps, scales, power_weight, power_norm
 
 
+def _reward_rows(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks _reward works in and their row views, bound once by a
+    caller that rewards the same block again and again: values holds the
+    (n,) rows d, v, u and power_kw first; the (4, n) block of errors is
+    allocated here."""
+    errors = np.empty((4, values.shape[1]))
+    return values, values[3], errors, *errors
+
+
 def _reward(
-    law: tuple[np.ndarray, ...], values: np.ndarray, out: np.ndarray, errors: np.ndarray
+    law: tuple[np.ndarray, ...], rows: tuple[np.ndarray, ...], out: np.ndarray
 ) -> np.ndarray:
-    """compute_reward from its _reward_law, into out: values holds the (n,)
-    rows d, v, u and power_kw first, and errors is a (4, n) scratch block."""
+    """compute_reward from its _reward_law, on the blocks of _reward_rows,
+    into out."""
     offsets, caps, scales, power_weight, power_norm = law
+    values, power_kw, errors, spacing_err, velocity_err, accel_err, safety_err = rows
     # The errors d - d*, v - v*, u and d - 2 d_safe, the last capped at 0:
     # min(d - 2 d_safe, 0)^2 is the safety term's max(0, 2 d_safe - d)^2.
     values.take(_ERROR_ROWS, axis=0, out=errors, mode="clip")
@@ -211,10 +226,10 @@ def _reward(
     np.minimum(errors, caps, out=errors)
     errors *= errors
     errors *= scales
-    np.add(errors[0], errors[1], out=out)
-    out += errors[2]
-    out += errors[3]
-    power = np.divide(values[3], power_norm, out=errors[0])
+    np.add(spacing_err, velocity_err, out=out)
+    out += accel_err
+    out += safety_err
+    power = np.divide(power_kw, power_norm, out=spacing_err)
     power *= power_weight
     out += power
     return out
@@ -312,11 +327,14 @@ class PlatoonEnv:
                 raise ConfigError("leader profile must be a 1-D array, length >= 2")
             if not np.all(np.isfinite(leader)):
                 raise ConfigError("leader profile must be finite")
-        # The leader sequence's velocities as floats: each step reads two.
+        # The leader sequence's velocities as floats, read by step index:
+        # each step reads two. A trace shorter than the episode holds its
+        # last sample to the end.
         self._leader = leader.tolist()
+        self._leader += self._leader[-1:] * (cfg.episode_steps + 1 - len(self._leader))
         # The agent vehicles: the last cfg.n_agents.
         self.agents = a = slice(cfg.n_vehicles - cfg.n_agents, None)
-        n_agents = cfg.n_agents
+        self._n_agents = n_agents = cfg.n_agents
         self._power_law = tuple(_full_size(_power_law(self.vehicle), cfg.n_vehicles))
         self._reward_law = _reward_law(self.reward, cfg.d_star, cfg.v_star, n_agents)
         self._own_law = _own_law(cfg, n_agents)
@@ -329,6 +347,8 @@ class PlatoonEnv:
             own[0], own[1:3], own[3], own[4]
         )
         self._own_scaled = own[1:]
+        # The fingerprints the observations show, written by reset and by a
+        # step that is given fingerprints.
         self._fingerprint_slot = self._obs_source[_OWN_DIM * n_agents : -1].reshape(
             n_agents, N_ACTIONS
         )
@@ -338,7 +358,6 @@ class PlatoonEnv:
         self._values = values = np.empty((len(LOG_FIELDS), cfg.n_vehicles))
         self._agent_values = values[:, a]
         self._agent_state = values[:3, a]
-        self._agent_motion = values[:2, a]
         self._spacing, self._velocity, self._accel, _, self._rewards = self._agent_values
         self._ahead_velocity = values[1, a.start : -1]
         self._power_rows = values[1], values[2], values[3]
@@ -348,22 +367,24 @@ class PlatoonEnv:
         # velocity, and the agents' errors to the predecessor and to the
         # headway velocity.
         self._vel = vel = np.empty((3, n_agents))
-        self._vel_own, self._vel_pairs, self._vel_ahead = vel[0], vel[:2], vel[1, 1:]
-        self._vel_targets = vel[1:]
+        self._vel_own, self._vel_ahead = vel[0], vel[1, 1:]
+        self._vel_headway, self._vel_targets = vel[2], vel[1:]
         self._lead_v = math.nan
         self._errors = np.empty((2, n_agents))
         self._ahead_error = self._errors[0]
-        # Step scratch: the gains by action, the kinematics' accelerations
-        # and distances, the reward's error block and the collision mask.
+        # The blocks and rows of the kinematics, on the agents' own and
+        # predecessor velocities and into their spacing and velocity rows,
+        # and of the reward; step scratch: the gains by action and the
+        # collision mask.
+        self._kinematics_rows = _kinematics_rows(vel[:2], values[:2, a])
+        self._reward_rows = _reward_rows(self._agent_values)
         self._gains = np.empty((2, n_agents))
-        self._acc = np.empty((2, n_agents))
-        self._dist = np.empty((2, n_agents))
-        self._reward_errors = np.empty((4, n_agents))
         self._crashed = np.empty(n_agents, dtype=bool)
         # dt as a 0-d array: NumPy converts a Python float anew on each call.
         self._dt = np.array(cfg.dt)
-        self._v0: np.ndarray | None = None
-        self._fingerprints: np.ndarray | None = None
+        # Every vehicle's and the agents' velocities at reset.
+        self._all_v0: np.ndarray | None = None
+        self._agent_v0: np.ndarray | None = None
         self._step_idx = 0
         self._done = True
 
@@ -374,6 +395,28 @@ class PlatoonEnv:
     @property
     def n_agents(self) -> int:
         return self.cfg.n_agents
+
+    # Episode state, set by reset or by a caller that puts the environment
+    # in a given state: setting either binds or writes what the
+    # observations read, so that no observation derives it again.
+    @property
+    def _v0(self) -> np.ndarray | None:
+        """Every vehicle's velocity at reset."""
+        return self._all_v0
+
+    @_v0.setter
+    def _v0(self, v0: np.ndarray) -> None:
+        self._all_v0, self._agent_v0 = v0, v0[self.agents]
+
+    @property
+    def _fingerprints(self) -> np.ndarray:
+        """The (n_agents, N_ACTIONS) fingerprints the observations show: a
+        view of their slot in the observation source."""
+        return self._fingerprint_slot
+
+    @_fingerprints.setter
+    def _fingerprints(self, fingerprints: np.ndarray | float) -> None:
+        self._fingerprint_slot[...] = fingerprints
 
     def vehicle_values(self) -> np.ndarray:
         """(len(LOG_FIELDS), n_vehicles) copy of the most recent step's (or
@@ -412,7 +455,7 @@ class PlatoonEnv:
         values[0], values[1], values[2], values[4] = spacing, velocity, 0.0, math.nan
         _power_kw(self._power_law, *self._power_rows, self._power_scratch)
         self._v0 = velocity
-        self._fingerprints = np.full((self.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
+        self._fingerprints = 1.0 / N_ACTIONS
         self._step_idx = 0
         self._done = False
         return self._observations()
@@ -425,18 +468,16 @@ class PlatoonEnv:
         vel = self._vel
         vel_own = self._vel_own
         vel_own[...] = self._velocity
-        self._lead_v = vel[1, 0] = self._leader_velocity(self._step_idx)
+        self._lead_v = vel[1, 0] = self._leader[self._step_idx]
         self._vel_ahead[...] = self._ahead_velocity
         d = self._spacing
-        vel[2] = headway_velocity(self.ovm, d)
+        headway_velocity(self.ovm, d, out=self._vel_headway)
         errors = np.subtract(self._vel_targets, vel_own, out=self._errors)
         # The own 5-vectors, one row per entry: the numerators, then each
-        # row over its scale, with the two velocity errors clipped. _v0 is
-        # read afresh: reset rebinds it.
+        # row over its scale, with the two velocity errors clipped.
         dt, d_star, scales, low, high = self._own_law
-        own_v = self._own_v
-        v0 = self._v0[self.agents]
-        np.subtract(vel_own, v0, out=own_v)
+        v0 = self._agent_v0
+        own_v = np.subtract(vel_own, v0, out=self._own_v)
         own_v /= v0
         self._own_errors[...] = errors
         gap = np.multiply(self._ahead_error, dt, out=self._own_gap)
@@ -446,7 +487,6 @@ class PlatoonEnv:
         scaled = np.divide(self._own_scaled, scales, out=self._own_scaled)
         np.maximum(scaled, low, out=scaled)
         np.minimum(scaled, high, out=scaled)
-        self._fingerprint_slot[...] = self._fingerprints
         return self._obs_source.take(self._obs_index)
 
     def step(
@@ -465,7 +505,7 @@ class PlatoonEnv:
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
         cfg = self.cfg
-        n_agents = self.n_agents
+        n_agents = self._n_agents
         acts = np.asarray(actions)
         # The range check reads a list: a NumPy reduction costs more than
         # the whole conversion on a few agents.
@@ -488,7 +528,7 @@ class PlatoonEnv:
             fp = np.asarray(fingerprints, dtype=float)
             if fp.shape != (n_agents, N_ACTIONS):
                 raise ValueError(f"expected fingerprints shape {(n_agents, N_ACTIONS)}")
-            self._fingerprints = fp.copy()
+            self._fingerprints = fp
 
         k = self._step_idx
         dt = cfg.dt
@@ -498,10 +538,10 @@ class PlatoonEnv:
         _gain_accel(_GAINS.take(acts, axis=1, out=self._gains, mode="clip"), self._errors, u)
         # The first agent follows the virtual car or the replayed leader,
         # whose motion over the step comes from the leader sequence.
-        lead_v_next = self._leader_velocity(k + 1)
+        lead_v_next = self._leader[k + 1]
         lead_u = (lead_v_next - self._lead_v) / dt
         d = self._spacing
-        _kinematics(d, self._vel_pairs, lead_u, u, self._dt, self._agent_motion, self._acc, self._dist)
+        _kinematics(d, lead_u, u, self._dt, self._kinematics_rows)
         if self.agents.start:
             values = self._values
             values[1, 0] = lead_v_next
@@ -509,18 +549,13 @@ class PlatoonEnv:
         self._step_idx = k + 1
         _power_kw(self._power_law, *self._power_rows, self._power_scratch)
 
-        rewards = _reward(self._reward_law, self._agent_values, self._rewards, self._reward_errors)
-        crashed = np.less_equal(d, MIN_SPACING, out=self._crashed)
+        rewards = _reward(self._reward_law, self._reward_rows, self._rewards)
+        crashed = np.less_equal(d, _MIN_SPACING, out=self._crashed)
         collisions = int(np.count_nonzero(crashed))
         if collisions:
             rewards -= self.reward.collision_penalty * crashed
         self._done = collisions > 0 or self._step_idx >= cfg.episode_steps
-        return StepOutcome(
-            observations=self._observations(),
-            rewards=rewards.copy(),
-            done=self._done,
-            collisions=collisions,
-        )
+        return StepOutcome(self._observations(), rewards.copy(), self._done, collisions)
 
 
 def _own_law(cfg: ScenarioConfig, n_agents: int) -> tuple[np.ndarray, ...]:

@@ -184,11 +184,6 @@ def zero_hidden(hidden_dim: int) -> Hidden:
     return Hidden(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """The gate sigmoid; forward() takes the same steps in place."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def _mv(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """w @ v per agent: (..., m, k) matrices times (..., k) vectors, one BLAS
     matrix-vector product per agent, written into `out` when one is given."""
@@ -239,9 +234,9 @@ def forward(
     z += net.lstm_b
     # Gate-major: each gate's block of every agent in one contiguous array.
     z = np.ascontiguousarray(z.reshape(lead + (4, hd)).swapaxes(0, -2))
-    # The cell gate is tanh(z); the other three are _sigmoid(z), taken over
-    # all four blocks at once up to the final halving, which writes each
-    # gate.
+    # The cell gate is tanh(z); the other three are the sigmoid
+    # 0.5 (1 + tanh(z / 2)), taken over all four blocks at once up to the
+    # final halving, which writes each gate.
     gate_g = np.tanh(z[2], out=out.gate_g)
     z *= 0.5
     np.tanh(z, out=z)

@@ -32,15 +32,34 @@ class OvmParams:
             raise ValueError("OvmParams requires 0 < d_stop < d_go")
         if self.v_max <= 0.0:
             raise ValueError("OvmParams.v_max must be strictly positive")
+        # The operands of headway_velocity's ramp as 0-d arrays, bound once:
+        # d_stop, the ramp span, its bounds 0 and 1, pi and v_max / 2. NumPy
+        # converts a Python float operand anew on every call.
+        ramp = (self.d_stop, self.d_go - self.d_stop, 0.0, 1.0, np.pi, 0.5 * self.v_max)
+        object.__setattr__(self, "_ramp", tuple(map(np.array, ramp)))
 
 
-def headway_velocity(params: OvmParams, d: float | np.ndarray) -> float | np.ndarray:
+def headway_velocity(
+    params: OvmParams, d: float | np.ndarray, out: np.ndarray | None = None
+) -> float | np.ndarray:
     """Desired velocity for gap d: 0 below d_stop, v_max above d_go, and a
-    half-cosine ramp in between. Continuous and non-decreasing in d."""
+    half-cosine ramp in between. Continuous and non-decreasing in d.
+
+    out, when given, is a float array of d's shape that receives the
+    velocities and is returned; without it they are a fresh array, or a
+    float for a float d."""
     if not _all_finite(d):
         raise ValueError("headway_velocity requires finite d")
-    frac = np.minimum(np.maximum((d - params.d_stop) / (params.d_go - params.d_stop), 0.0), 1.0)
-    return 0.5 * params.v_max * (1.0 - np.cos(np.pi * frac))
+    d_stop, span, zero, one, pi, half_v_max = params._ramp
+    v = np.subtract(d, d_stop, out=np.empty(np.shape(d)) if out is None else out)
+    v /= span
+    np.maximum(v, zero, out=v)
+    np.minimum(v, one, out=v)
+    v *= pi
+    np.cos(v, out=v)
+    np.subtract(one, v, out=v)
+    v *= half_v_max
+    return v if out is not None else v[()]
 
 
 def ovm_accel(

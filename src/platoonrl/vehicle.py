@@ -23,6 +23,10 @@ MIN_SPACING = 1.0  # below this the platoon has collided
 
 GRAVITY = 9.8
 
+# The constant operands of the per-step laws as 0-d arrays: NumPy converts a
+# Python float operand anew on every call.
+_U_MIN, _U_MAX, _HALF, _W_PER_KW = map(np.array, (U_MIN, U_MAX, 0.5, 1000.0))
+
 
 @dataclass(frozen=True)
 class VehicleParams:
@@ -75,7 +79,7 @@ def _all_finite(x) -> bool:
 def _actuate(u_cmd, out=None):
     """A commanded acceleration clipped to the actuation box, into out when
     given."""
-    return np.minimum(np.maximum(u_cmd, U_MIN, out=out), U_MAX, out=out)
+    return np.minimum(np.maximum(u_cmd, _U_MIN, out=out), _U_MAX, out=out)
 
 
 def _travel(v: np.ndarray, u: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray | None:
@@ -142,45 +146,48 @@ def step_kinematics(
     u = _actuate(u_cmd)
     vel = np.array((v, np.concatenate(([v_prev], v[:-1]))))
     out = np.empty_like(vel)
-    _kinematics(d, vel, u_prev, u, dt, out, np.empty_like(vel), np.empty_like(vel))
+    _kinematics(d, u_prev, u, dt, _kinematics_rows(vel, out))
     return tuple(x.reshape(shape)[()] for x in (*out, u))
 
 
+def _kinematics_rows(vel: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The blocks _kinematics works in and their row views, bound once by a
+    caller that steps the same blocks again and again. vel is the (2, n)
+    block of each vehicle's own and predecessor velocity, and out the
+    (2, n) block that receives the new spacing and velocity; the (2, n)
+    scratch blocks of accelerations and distances are allocated here."""
+    acc, dist = np.empty((2, *vel.shape))
+    v, v_new = vel[0], out[1]
+    return vel, acc, dist, v, v_new, out[0], acc[0], acc[1, 1:], v[:-1], v_new[:-1], *dist
+
+
 def _kinematics(
-    d: np.ndarray,
-    vel: np.ndarray,
-    u_lead: float,
-    u: np.ndarray,
-    dt: float,
-    out: np.ndarray,
-    acc: np.ndarray,
-    dist: np.ndarray,
+    d: np.ndarray, u_lead: float, u: np.ndarray, dt: float, rows: tuple[np.ndarray, ...]
 ) -> None:
     """step_kinematics on 1-D float arrays, without its checks: writes the
-    new spacing and velocity into the rows of out, a (2, n) block that d may
-    share. vel is the (2, n) block of each vehicle's own and predecessor
-    velocity, u_lead the first predecessor's acceleration and u the command,
-    already in the actuation box; acc and dist are (2, n) scratch blocks."""
-    v = vel[0]
-    spacing, v_new = out[0], out[1]
+    new spacing and velocity into the out block that rows, from
+    _kinematics_rows, were bound to, a block d may share. u_lead is the
+    first predecessor's acceleration and u the command, already in the
+    actuation box."""
+    (vel, acc, dist, v, v_new, spacing, own_acc, ahead,
+     v_front, v_new_front, own_dist, lead_dist) = rows
     clipped = _travel(v, u, dt, v_new)
     # Each vehicle and its predecessor travel in one (2, n) pass; the
     # predecessors in the platoon move at their realized accelerations.
-    acc[0] = u
+    own_acc[...] = u
     acc[1, 0] = u_lead
-    ahead = acc[1, 1:]
-    np.subtract(v_new[:-1], v[:-1], out=ahead)
+    np.subtract(v_new_front, v_front, out=ahead)
     ahead /= dt
     # dist = vel dt + 0.5 acc dt dt
-    np.multiply(0.5, acc, out=acc)
+    np.multiply(_HALF, acc, out=acc)
     acc *= dt
     acc *= dt
     np.multiply(vel, dt, out=dist)
     dist += acc
     if clipped is not None:
-        dist[0, clipped] = _clipped_distance(v[clipped], u[clipped], v_new[clipped], dt)
-    np.add(d, dist[1], out=spacing)
-    spacing -= dist[0]
+        own_dist[clipped] = _clipped_distance(v[clipped], u[clipped], v_new[clipped], dt)
+    np.add(d, lead_dist, out=spacing)
+    spacing -= own_dist
 
 
 # The constants of driving_force and electric_power: m, m g f,
@@ -220,7 +227,7 @@ def _power_kw(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.
     np.divide(wheel_w, eta, out=scratch)
     wheel_w *= eta
     np.maximum(scratch, wheel_w, out=out)
-    out /= 1000.0
+    out /= _W_PER_KW
     return out
 
 

@@ -17,7 +17,13 @@
 import numpy as np
 
 from platoonrl import nn
-from platoonrl.nn import AgentNet, ForwardRecord, Hidden, _sigmoid, _views
+from platoonrl.nn import AgentNet, ForwardRecord, Hidden, _views
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The gate sigmoid, 0.5 (1 + tanh(z / 2)): nn.forward takes the same
+    steps in place."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def forward(

@@ -22,7 +22,7 @@ from platoonrl.env import (
     obs_dim_for,
 )
 from platoonrl.errors import ConfigError
-from platoonrl.ovm import ovm_accel
+from platoonrl.ovm import headway_velocity, ovm_accel
 from platoonrl.vehicle import MIN_SPACING, V_MAX, electric_power, step_kinematics
 
 W = RewardWeights()
@@ -326,6 +326,27 @@ class TestStep:
         assert np.array_equal(first[15:19], np.zeros(4)), "no agent ahead"
         assert np.array_equal(first[19:23], fps[1])
 
+    def test_fingerprints_persist_until_replaced_or_reset(self):
+        env = PlatoonEnv(quiet_scenario())
+        env.reset()
+        fps = np.array([
+            [0.1, 0.2, 0.3, 0.4],
+            [0.4, 0.3, 0.2, 0.1],
+            [0.7, 0.1, 0.1, 0.1],
+        ])
+        env.step([0, 0, 0], fingerprints=fps)
+        for _ in range(2):
+            middle = env.step([0, 0, 0]).observations[1]
+            assert np.array_equal(middle[15:19], fps[0])
+            assert np.array_equal(middle[19:23], fps[2])
+        fps[...] = 0.0  # the environment keeps its own copy
+        middle = env.step([0, 0, 0]).observations[1]
+        assert np.array_equal(middle[15:19], [0.1, 0.2, 0.3, 0.4])
+        middle = env.reset()[1]
+        assert np.array_equal(middle[15:23], np.full(8, 0.25))
+        middle = env.step([0, 0, 0]).observations[1]
+        assert np.array_equal(middle[15:23], np.full(8, 0.25))
+
     @pytest.mark.parametrize("replay", [False, True], ids=["virtual-target", "trace-replay"])
     def test_returned_arrays_outlive_later_steps(self, replay):
         # step reuses buffers between calls; nothing it handed out may
@@ -402,6 +423,13 @@ class TestBeforeReset:
         getattr(env, method)(*args)
 
 
+def oracle_headway_entry(env, values):
+    """Each agent's observed headway-velocity error from the public law on
+    the gaps of values: (v_h(d) - v) / 5, clipped to [-2, 2]."""
+    gaps, v = values[0, env.agents], values[1, env.agents]
+    return np.clip((headway_velocity(env.ovm, gaps) - v) / 5.0, -2.0, 2.0)
+
+
 def oracle_step(env, before, actions):
     """The checked public laws on the state before a step: the command from
     ovm_accel under each agent's gain pair, the new spacing and velocity
@@ -429,11 +457,13 @@ def oracle_step(env, before, actions):
 
 class TestInPlaceStepOracle:
     """Each in-place step against the checked public laws, bit for bit,
-    over whole seeded episodes."""
+    over whole seeded episodes: the platoon's values, the rewards and the
+    observations' headway entries."""
 
     def run_episode(self, env, seed, fprint):
         rng = np.random.default_rng(seed)
-        env.reset(seed=seed)
+        obs = env.reset(seed=seed)
+        assert obs[:, 2].tobytes() == oracle_headway_entry(env, env.vehicle_values()).tobytes()
         state = env._values
         velocities = []
         for k in range(env.cfg.episode_steps):
@@ -444,6 +474,8 @@ class TestInPlaceStepOracle:
             got = env.vehicle_values()
             assert got.tobytes() == want.tobytes(), k
             assert out.rewards.tobytes() == want[4, env.agents].tobytes(), k
+            headway = oracle_headway_entry(env, want)
+            assert out.observations[:, 2].tobytes() == headway.tobytes(), k
             assert out.collisions == collisions, k
             assert env._values is state
             velocities.append(got[1])
