@@ -287,8 +287,8 @@ class PlatoonEnv:
     The platoon state is one (len(LOG_FIELDS), n_vehicles) array, vehicles
     front to back. It is allocated at construction with the blocks each
     step works in, and the row views that step and the observations use are
-    bound once; reset and step overwrite them in place, and every array
-    handed out is a fresh copy.
+    bound once; set_state, which reset calls, and step overwrite them in
+    place, and every array handed out is a fresh copy.
     Agents are the vehicles in the `agents` slice, so a replayed leader is
     the one vehicle that is not an agent. Vehicle 0 follows one leader
     sequence, the velocity of the virtual car or the trace at each step;
@@ -334,7 +334,8 @@ class PlatoonEnv:
         self._leader += self._leader[-1:] * (cfg.episode_steps + 1 - len(self._leader))
         # The agent vehicles: the last cfg.n_agents.
         self.agents = a = slice(cfg.n_vehicles - cfg.n_agents, None)
-        self._n_agents = n_agents = cfg.n_agents
+        self.n_vehicles = cfg.n_vehicles
+        self.n_agents = n_agents = cfg.n_agents
         self._power_law = tuple(_full_size(_power_law(self.vehicle), cfg.n_vehicles))
         self._reward_law = _reward_law(self.reward, cfg.d_star, cfg.v_star, n_agents)
         self._own_law = _own_law(cfg, n_agents)
@@ -347,14 +348,14 @@ class PlatoonEnv:
             own[0], own[1:3], own[3], own[4]
         )
         self._own_scaled = own[1:]
-        # The fingerprints the observations show, written by reset and by a
-        # step that is given fingerprints.
+        # The fingerprints the observations show, written by set_state and by
+        # a step that is given fingerprints.
         self._fingerprint_slot = self._obs_source[_OWN_DIM * n_agents : -1].reshape(
             n_agents, N_ACTIONS
         )
         self._obs_index = _observation_index(n_agents)
         # The platoon: one row per LOG_FIELDS entry, one column per vehicle,
-        # written by the first reset.
+        # written by the first set_state.
         self._values = values = np.empty((len(LOG_FIELDS), cfg.n_vehicles))
         self._agent_values = values[:, a]
         self._agent_state = values[:3, a]
@@ -369,7 +370,6 @@ class PlatoonEnv:
         self._vel = vel = np.empty((3, n_agents))
         self._vel_own, self._vel_ahead = vel[0], vel[1, 1:]
         self._vel_headway, self._vel_targets = vel[2], vel[1:]
-        self._lead_v = math.nan
         self._errors = np.empty((2, n_agents))
         self._ahead_error = self._errors[0]
         # The blocks and rows of the kinematics, on the agents' own and
@@ -382,93 +382,88 @@ class PlatoonEnv:
         self._crashed = np.empty(n_agents, dtype=bool)
         # dt as a 0-d array: NumPy converts a Python float anew on each call.
         self._dt = np.array(cfg.dt)
-        # Every vehicle's and the agents' velocities at reset.
-        self._all_v0: np.ndarray | None = None
+        # The agents' velocities at the episode's start; set_state sets it
+        # and the step index.
         self._agent_v0: np.ndarray | None = None
-        self._step_idx = 0
         self._done = True
-
-    @property
-    def n_vehicles(self) -> int:
-        return self.cfg.n_vehicles
-
-    @property
-    def n_agents(self) -> int:
-        return self.cfg.n_agents
-
-    # Episode state, set by reset or by a caller that puts the environment
-    # in a given state: setting either binds or writes what the
-    # observations read, so that no observation derives it again.
-    @property
-    def _v0(self) -> np.ndarray | None:
-        """Every vehicle's velocity at reset."""
-        return self._all_v0
-
-    @_v0.setter
-    def _v0(self, v0: np.ndarray) -> None:
-        self._all_v0, self._agent_v0 = v0, v0[self.agents]
-
-    @property
-    def _fingerprints(self) -> np.ndarray:
-        """The (n_agents, N_ACTIONS) fingerprints the observations show: a
-        view of their slot in the observation source."""
-        return self._fingerprint_slot
-
-    @_fingerprints.setter
-    def _fingerprints(self, fingerprints: np.ndarray | float) -> None:
-        self._fingerprint_slot[...] = fingerprints
 
     def vehicle_values(self) -> np.ndarray:
         """(len(LOG_FIELDS), n_vehicles) copy of the most recent step's (or
-        reset's) per-vehicle values."""
-        # reset sets _v0, so the platoon has no values until then.
-        if self._v0 is None:
+        set_state's) per-vehicle values."""
+        # set_state binds the agents' v0, so the platoon has no values until then.
+        if self._agent_v0 is None:
             raise RuntimeError("no platoon state before the first reset(); reset() first")
         return self._values.copy()
 
     def vehicle_log_rows(self) -> list[VehicleLogRow]:
-        """Per-vehicle values of the most recent step (or of reset)."""
+        """Per-vehicle values of the most recent step (or of set_state)."""
         return [
             VehicleLogRow(i, *values)
             for i, values in enumerate(self.vehicle_values().T.tolist())
         ]
 
-    def _leader_velocity(self, k: int) -> float:
-        """Velocity of vehicle 0's predecessor at step index k; the trace
-        holds its last sample past its end."""
-        leader = self._leader
-        return leader[min(k, len(leader) - 1)]
+    def leader_velocities(self) -> np.ndarray:
+        """Copy of the leader sequence: vehicle 0's predecessor's velocity at
+        each step index 0..episode_steps."""
+        return np.array(self._leader)
 
     def reset(self, seed: int | None = None) -> np.ndarray:
+        """set_state on the scenario's seeded draw: jittered spacings and
+        velocities, zero accelerations, the velocities as v0 and uniform
+        fingerprints, at step 0."""
         cfg = self.cfg
         rng = np.random.default_rng(cfg.seed if seed is None else seed)
-        spacing = cfg.d_star * (
-            1.0 + rng.uniform(-cfg.init_spacing_jitter, cfg.init_spacing_jitter, cfg.n_vehicles)
+        spacing, velocity = (
+            x_star * (1.0 + rng.uniform(-jitter, jitter, cfg.n_vehicles))
+            for x_star, jitter in (
+                (cfg.d_star, cfg.init_spacing_jitter), (cfg.v_star, cfg.init_velocity_jitter)
+            )
         )
-        velocity = cfg.v_star * (
-            1.0 + rng.uniform(-cfg.init_velocity_jitter, cfg.init_velocity_jitter, cfg.n_vehicles)
-        )
-        if self.agents.start:
-            velocity[0] = self._leader[0]
-            spacing[0] = math.nan
+        uniform = np.full((self.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
+        return self.set_state(spacing, velocity, np.zeros(cfg.n_vehicles), velocity, uniform, 0)
+
+    def set_state(self, spacing, velocity, accel, v0, fingerprints, step: int) -> np.ndarray:
+        """Start an episode at a step in [0, episode_steps) from per-vehicle
+        rows (v0: the velocities observations scale by) and the agents'
+        fingerprints; return its observations. A replayed leader gets a nan
+        gap and the leader velocity at step. ValueError before any write on
+        input out of shape or range, a non-finite agent row or an agent v0 <= 0."""
+        cfg = self.cfg
+        a = self.agents
+        state = np.array([spacing, velocity, accel, v0], dtype=float)
+        if not (state.shape == (4, cfg.n_vehicles) and step in range(cfg.episode_steps)
+                and _all_finite(state[:, a]) and np.all(state[3, a] > 0.0)):
+            raise ValueError(
+                f"set_state takes rows of {cfg.n_vehicles} values, finite with v0 > 0 "
+                f"for the agents, and a step in [0, {cfg.episode_steps})"
+            )
+        # The first write: it checks the fingerprints' shape before it writes them.
+        self._set_fingerprints(fingerprints)
+        self._step_idx = k = int(step)
         values = self._values
-        values[0], values[1], values[2], values[4] = spacing, velocity, 0.0, math.nan
+        values[:3] = state[:3]
+        values[4] = math.nan
+        if a.start:
+            values[0, 0], values[1, 0] = math.nan, self._leader[k]
         _power_kw(self._power_law, *self._power_rows, self._power_scratch)
-        self._v0 = velocity
-        self._fingerprints = 1.0 / N_ACTIONS
-        self._step_idx = 0
+        self._agent_v0 = state[3, a]
         self._done = False
         return self._observations()
+
+    def _set_fingerprints(self, fingerprints) -> None:
+        fp = np.asarray(fingerprints, dtype=float)
+        if fp.shape != (self.n_agents, N_ACTIONS):
+            raise ValueError(f"expected fingerprints shape {(self.n_agents, N_ACTIONS)}")
+        self._fingerprint_slot[...] = fp
 
     def _observations(self) -> np.ndarray:
         # The agents' own velocities, their predecessors' and the headway
         # velocities of their gaps. The first agent's predecessor drives at
         # the leader sequence's velocity: the virtual car, or vehicle 0
         # replaying the trace.
-        vel = self._vel
         vel_own = self._vel_own
         vel_own[...] = self._velocity
-        self._lead_v = vel[1, 0] = self._leader[self._step_idx]
+        self._vel[1, 0] = self._leader[self._step_idx]
         self._vel_ahead[...] = self._ahead_velocity
         d = self._spacing
         headway_velocity(self.ovm, d, out=self._vel_headway)
@@ -505,7 +500,7 @@ class PlatoonEnv:
         if self._done:
             raise RuntimeError("step() called on a finished episode; reset() first")
         cfg = self.cfg
-        n_agents = self._n_agents
+        n_agents = self.n_agents
         acts = np.asarray(actions)
         # The range check reads a list: a NumPy reduction costs more than
         # the whole conversion on a few agents.
@@ -525,13 +520,9 @@ class PlatoonEnv:
         if not _all_finite(self._agent_state):
             raise ValueError("step requires a finite agent state")
         if fingerprints is not None:
-            fp = np.asarray(fingerprints, dtype=float)
-            if fp.shape != (n_agents, N_ACTIONS):
-                raise ValueError(f"expected fingerprints shape {(n_agents, N_ACTIONS)}")
-            self._fingerprints = fp
+            self._set_fingerprints(fingerprints)
 
         k = self._step_idx
-        dt = cfg.dt
         # Each agent's gain pair in the law, on the velocity errors of the
         # last observations, straight into the acceleration row.
         u = self._accel
@@ -539,7 +530,7 @@ class PlatoonEnv:
         # The first agent follows the virtual car or the replayed leader,
         # whose motion over the step comes from the leader sequence.
         lead_v_next = self._leader[k + 1]
-        lead_u = (lead_v_next - self._lead_v) / dt
+        lead_u = (lead_v_next - self._leader[k]) / cfg.dt
         d = self._spacing
         _kinematics(d, lead_u, u, self._dt, self._kinematics_rows)
         if self.agents.start:

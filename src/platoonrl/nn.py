@@ -426,7 +426,7 @@ def save_params(net: AgentNet, path: str | Path) -> None:
 def load_params(path: str | Path) -> AgentNet:
     """Rebuild a network from save_params output; round-trips exactly.
     Raises DataError when the file is not a checkpoint, lacks an entry, or
-    holds a vector whose length does not match its dimensions."""
+    holds a dimension that is not one integer or a vector that misfits them."""
     try:
         with np.load(path) as data:
             entries = {k: data[k] for k in _CHECKPOINT_KEYS if k in data.files}
@@ -435,7 +435,12 @@ def load_params(path: str | Path) -> AgentNet:
     missing = [k for k in _CHECKPOINT_KEYS if k not in entries]
     if missing:
         raise DataError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    dims = [int(entries[k]) for k in ("obs_dim", "hidden_dim", "n_actions")]
+    # Each dimension is one integer: int() would truncate a float and
+    # raise on text or on an array.
+    bad = [k for k in _CHECKPOINT_KEYS[1:] if entries[k].ndim or entries[k].dtype.kind not in "iu"]
+    if bad:
+        raise DataError(f"{path}: {', '.join(bad)}: not one integer")
+    dims = [int(entries[k]) for k in _CHECKPOINT_KEYS[1:]]
     if entries["flat"].ndim != 1:
         raise DataError(f"{path}: parameter vector has shape {entries['flat'].shape}")
     try:

@@ -302,13 +302,19 @@ class TestStep:
     def test_non_finite_agent_state_raises_before_any_write(self, row, bad):
         env = PlatoonEnv(quiet_scenario())
         env.reset()
+        good = env._values[row, 1]
         env._values[row, 1] = bad
         before = env.vehicle_values()
         with pytest.raises(ValueError, match="finite agent state"):
             env.step([0, 0, 0], fingerprints=np.eye(3, N_ACTIONS))
         assert np.array_equal(env.vehicle_values(), before, equal_nan=True)
-        assert np.array_equal(env._fingerprints, np.full((3, N_ACTIONS), 1.0 / N_ACTIONS))
-        assert env._step_idx == 0
+        assert np.array_equal(env._fingerprint_slot, np.full((3, N_ACTIONS), 1.0 / N_ACTIONS))
+        # The step index did not move: restored, the episode runs its length.
+        env._values[row, 1] = good
+        steps = 1
+        while not env.step([0, 0, 0]).done:
+            steps += 1
+        assert steps == env.cfg.episode_steps
 
     def test_fingerprints_appear_in_neighbor_observations(self):
         env = PlatoonEnv(quiet_scenario())
@@ -422,6 +428,29 @@ class TestBeforeReset:
         env.reset()
         getattr(env, method)(*args)
 
+    @pytest.mark.parametrize("replay", [False, True], ids=["virtual-target", "trace-replay"])
+    def test_set_state_starts_an_episode_without_reset(self, replay):
+        # reset is set_state on its seeded draw: the same rows given to a
+        # fresh environment start the same episode, bit for bit.
+        cfg, profile = scenario_and_profile(replay)
+        seeded, env = (PlatoonEnv(cfg, leader_profile=profile) for _ in range(2))
+        obs = seeded.reset(seed=7)
+        start = seeded.vehicle_values()
+        uniform = np.full((env.n_agents, N_ACTIONS), 1.0 / N_ACTIONS)
+        got = env.set_state(start[0], start[1], start[2], start[1], uniform, 0)
+        assert got.tobytes() == obs.tobytes()
+        assert env.vehicle_values().tobytes() == start.tobytes()
+        rng = np.random.default_rng(7)
+        for _ in range(cfg.episode_steps):
+            actions = rng.integers(0, N_ACTIONS, env.n_agents)
+            fps = rng.dirichlet(np.ones(N_ACTIONS), env.n_agents)
+            want, out = seeded.step(actions, fps), env.step(actions, fps)
+            assert out.observations.tobytes() == want.observations.tobytes()
+            assert env.vehicle_values().tobytes() == seeded.vehicle_values().tobytes()
+            assert out.done == want.done
+            if out.done:
+                break
+
 
 def oracle_headway_entry(env, values):
     """Each agent's observed headway-velocity error from the public law on
@@ -430,14 +459,14 @@ def oracle_headway_entry(env, values):
     return np.clip((headway_velocity(env.ovm, gaps) - v) / 5.0, -2.0, 2.0)
 
 
-def oracle_step(env, before, actions):
-    """The checked public laws on the state before a step: the command from
+def oracle_step(env, before, actions, k):
+    """The checked public laws on the state before step k: the command from
     ovm_accel under each agent's gain pair, the new spacing and velocity
     from step_kinematics, every vehicle's power from electric_power, and
     the agents' rewards from compute_reward less the collision penalty."""
-    a, dt, k = env.agents, env.cfg.dt, env._step_idx
+    a, dt = env.agents, env.cfg.dt
     spacing, velocity = before[0, a], before[1, a]
-    lead_v, lead_v_next = env._leader_velocity(k), env._leader_velocity(k + 1)
+    lead_v, lead_v_next = env.leader_velocities()[k : k + 2]
     lead_u = (lead_v_next - lead_v) / dt
     alpha, beta = np.array(ACTION_GAINS)[actions].T
     ahead = np.concatenate(([lead_v], velocity[:-1]))
@@ -469,7 +498,7 @@ class TestInPlaceStepOracle:
         for k in range(env.cfg.episode_steps):
             actions = rng.integers(0, N_ACTIONS, env.n_agents)
             fps = rng.dirichlet(np.ones(N_ACTIONS), env.n_agents) if fprint else None
-            want, collisions = oracle_step(env, env.vehicle_values(), actions)
+            want, collisions = oracle_step(env, env.vehicle_values(), actions, k)
             out = env.step(actions, fps)
             got = env.vehicle_values()
             assert got.tobytes() == want.tobytes(), k
@@ -505,3 +534,122 @@ class TestInPlaceStepOracle:
         env = PlatoonEnv(cfg, leader_profile=profile)
         velocities, _ = self.run_episode(env, seed=4, fprint=False)
         assert (velocities[:, 1] == V_MAX).any()
+
+
+def scenario_and_profile(replay):
+    """A 4-vehicle, 30-step scenario; replayed, behind a 12-sample trace
+    that holds its last sample for the rest of the episode."""
+    profile = np.linspace(15.0, 12.0, 12) if replay else None
+    leader_mode = "trace-replay" if replay else "virtual-target"
+    return ScenarioConfig(n_vehicles=4, episode_steps=30, leader_mode=leader_mode), profile
+
+
+def given_state(env, seed=0):
+    """A valid set_state argument tuple for env at step 3: random rows
+    near the set point and random fingerprints."""
+    rng = np.random.default_rng(seed)
+    n = env.n_vehicles
+    spacing = rng.uniform(15.0, 25.0, n)
+    velocity = rng.uniform(10.0, 20.0, n)
+    accel = rng.uniform(-1.0, 1.0, n)
+    v0 = rng.uniform(10.0, 20.0, n)
+    fps = rng.dirichlet(np.ones(N_ACTIONS), env.n_agents)
+    return spacing, velocity, accel, v0, fps, 3
+
+
+def edit(index, change):
+    """An edit of set_state's argument list that changes one argument."""
+    return lambda args: [change(x) if i == index else x for i, x in enumerate(args)]
+
+
+def poke(index, column, bad):
+    """An edit that puts bad into one column of one row argument."""
+    return edit(index, lambda x: np.where(np.arange(x.size) == column, bad, x))
+
+
+# Each input set_state rejects, as an edit of a valid argument list:
+# (spacing, velocity, accel, v0, fingerprints, step).
+BAD_STATES = {
+    "short-spacing": edit(0, lambda x: x[:-1]),
+    "long-rows": lambda args: [np.append(x, 15.0) for x in args[:4]] + args[4:],
+    "column-velocity": edit(1, lambda x: x[:, None]),
+    "fingerprint-rows": edit(4, lambda x: x[:-1]),
+    "fingerprint-columns": edit(4, lambda x: x[:, :-1]),
+    "nan-spacing": poke(0, 2, math.nan),
+    "inf-velocity": poke(1, 3, math.inf),
+    "nan-accel": poke(2, 1, math.nan),
+    "nan-v0": poke(3, 2, math.nan),
+    "inf-v0": poke(3, 2, math.inf),
+    "zero-v0": poke(3, 1, 0.0),
+    "negative-v0": poke(3, 3, -15.0),
+    "negative-step": edit(5, lambda k: -1),
+    "step-at-episode-end": edit(5, lambda k: 30),
+    "fractional-step": edit(5, lambda k: 2.5),
+}
+
+
+class TestSetState:
+    @pytest.mark.parametrize("replay", [False, True], ids=["virtual-target", "trace-replay"])
+    @pytest.mark.parametrize("defect", BAD_STATES)
+    def test_rejected_input_raises_before_any_write(self, defect, replay):
+        # Two environments in one state; the one whose set_state fails must
+        # go on exactly as the other: same values, same next observations.
+        cfg, profile = scenario_and_profile(replay)
+        env, twin = (PlatoonEnv(cfg, leader_profile=profile) for _ in range(2))
+        rng = np.random.default_rng(1)
+        actions = rng.integers(0, N_ACTIONS, env.n_agents)
+        fps = rng.dirichlet(np.ones(N_ACTIONS), env.n_agents)
+        for e in (env, twin):
+            e.reset(seed=5)
+            e.step(actions, fps)
+        args = BAD_STATES[defect](list(given_state(env)))
+        with pytest.raises(ValueError):
+            env.set_state(*args)
+        assert env.vehicle_values().tobytes() == twin.vehicle_values().tobytes()
+        for _ in range(3):
+            out, want = env.step(actions), twin.step(actions)
+            assert out.observations.tobytes() == want.observations.tobytes()
+            assert env.vehicle_values().tobytes() == twin.vehicle_values().tobytes()
+
+    def test_replayed_leader_takes_the_trace(self):
+        # Whatever is passed in for the leader: a nan gap and the trace's
+        # velocity at the step, past the trace's end its last sample.
+        cfg, profile = scenario_and_profile(replay=True)
+        env = PlatoonEnv(cfg, leader_profile=profile)
+        spacing, velocity, accel, v0, fps, _ = given_state(env)
+        spacing[0], velocity[0], v0[0] = 3.0, 99.0, -1.0
+        for k in (0, 5, 11, 20, 29):
+            obs = env.set_state(spacing, velocity, accel, v0, fps, k)
+            values = env.vehicle_values()
+            assert math.isnan(values[0, 0])
+            assert values[1, 0] == profile[min(k, profile.size - 1)]
+            assert values[1, 0] == env.leader_velocities()[k]
+            # The first agent's velocity error to its predecessor is to the trace.
+            assert obs[0, 1] == np.clip((values[1, 0] - velocity[1]) / 5.0, -2.0, 2.0)
+        assert np.array_equal(values[1:3, 1:], [velocity[1:], accel[1:]])
+
+    @pytest.mark.parametrize("replay", [False, True], ids=["virtual-target", "trace-replay"])
+    def test_power_row_is_electric_power_of_the_given_rows(self, replay):
+        cfg, profile = scenario_and_profile(replay)
+        env = PlatoonEnv(cfg, leader_profile=profile)
+        args = given_state(env, seed=2)
+        env.set_state(*args)
+        values = env.vehicle_values()
+        assert np.array_equal(values[3], electric_power(env.vehicle, values[1], values[2]))
+        assert np.isnan(values[4]).all()
+        assert np.array_equal(values[2], args[2])
+
+    def test_state_is_copied_and_the_episode_ends_on_schedule(self):
+        cfg, _ = scenario_and_profile(replay=False)
+        env, twin = PlatoonEnv(cfg), PlatoonEnv(cfg)
+        args = given_state(env, seed=3)
+        last = cfg.episode_steps - 1
+        twin.set_state(*given_state(env, seed=3)[:5], last - 1)
+        env.set_state(*args[:5], last - 1)
+        for x in args[:5]:
+            x[...] = 1.0
+        for done in (False, True):
+            out, want = env.step([3] * 4), twin.step([3] * 4)
+            assert out.observations.tobytes() == want.observations.tobytes()
+            assert env.vehicle_values().tobytes() == twin.vehicle_values().tobytes()
+            assert out.done == want.done == done

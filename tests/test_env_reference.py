@@ -48,15 +48,11 @@ def step_both(
         spacing[0] = math.nan
         velocity[0] = profile[min(k, profile.size - 1)]
     env = PlatoonEnv(cfg, leader_profile=profile)
-    env.reset(seed=0)
-    env._values[:3] = spacing, velocity, np.array(accel, dtype=float)
-    env._v0 = np.array(v0, dtype=float)
-    env._fingerprints = np.array(fingerprints, dtype=float)
-    env._step_idx = k
+    obs = env.set_state(spacing, velocity, accel, v0, fingerprints, k)
     ref = ReferenceEnv(cfg, leader_profile=profile)
     ref.set_state(spacing, velocity, accel, v0, fingerprints, k)
 
-    assert np.array_equal(env._observations(), ref.observations())
+    assert np.array_equal(obs, ref.observations())
     out = env.step(actions, step_fps)
     want = ref.step(actions, step_fps)
 
@@ -188,8 +184,10 @@ def dip_steps(perturbation):
 def test_leader_sequence_matches_reference(leader):
     cfg = scenario(4, False, LEADERS[leader])
     env, ref = PlatoonEnv(cfg), ReferenceEnv(cfg)
+    leader = env.leader_velocities()
+    assert leader.shape == (EPISODE_STEPS + 1,)
     for k in range(EPISODE_STEPS + 1):
-        assert env._leader_velocity(k) == ref._leader_velocity(k), k
+        assert leader[k] == ref._leader_velocity(k), k
 
 
 @pytest.mark.parametrize(

@@ -379,7 +379,11 @@ class TestCheckpointIo:
             assert np.max(np.abs(policy - ref["policy"])) <= 1e-12
             assert abs(value - float(ref["value"])) <= 1e-12
 
-    @pytest.mark.parametrize("defect", ["short", "long", "no flat", "no n_actions"])
+    @pytest.mark.parametrize(
+        "defect",
+        ["short", "long", "no flat", "no n_actions",
+         "vector obs_dim", "text obs_dim", "empty hidden_dim", "float obs_dim"],
+    )
     def test_bad_checkpoint_raises_data_error(self, defect, tmp_path):
         net = make_net(42)
         entries = {
@@ -392,6 +396,15 @@ class TestCheckpointIo:
             entries["flat"] = entries["flat"][:-1]
         elif defect == "long":
             entries["flat"] = np.append(entries["flat"], 0.0)
+        elif defect == "vector obs_dim":
+            entries["obs_dim"] = [OBS_DIM, OBS_DIM]
+        elif defect == "text obs_dim":
+            entries["obs_dim"] = str(OBS_DIM)
+        elif defect == "empty hidden_dim":
+            entries["hidden_dim"] = np.array([], dtype=int)
+        elif defect == "float obs_dim":
+            # int() would truncate it to a valid dimension.
+            entries["obs_dim"] = OBS_DIM + 0.9
         else:
             del entries[defect.removeprefix("no ")]
         path = tmp_path / "agent0.npz"
