@@ -5,11 +5,18 @@ one LSTM cell (hidden_dim -> hidden_dim), a softmax actor head over the
 discrete actions and a scalar critic head, both read from the LSTM output.
 
 Everything is float64 numpy. The recurrent state is an explicit (h, c) pair
-carried by the caller; forward() mutates nothing but the `out` record it
-may be given to write into, so identical inputs always produce identical
-outputs. Given one, such as a row of a training episode's tape, it computes
-the step's activations straight into those arrays, with the same
-arithmetic and so the same bits as into fresh ones.
+carried by the caller; of what a caller can see, forward() writes nothing
+but the `out` record it may be given to write into, so identical inputs
+always produce identical outputs. Given one, such as a row of a training
+episode's tape, it computes the step's activations straight into those
+arrays, with the same arithmetic and so the same bits as into fresh ones.
+
+Each AgentNet binds once, at construction, the views forward() reads its
+biases through and private scratch for the values forward() never hands
+out: the input layer's product, the two LSTM products, the gate-major
+pre-activation block, the actor logits and the critic product. forward()
+writes that scratch on every call, so one net must not be stepped from
+two threads at once; separate nets may.
 
 Parameter buffer: an AgentNet owns one float64 array, `params`, and its
 named weight arrays are views into it, so writing either one changes both.
@@ -82,7 +89,7 @@ class AgentNet:
     stack: `params` plus a view into it per param_layout() entry
     (net.input_w, net.lstm_wx, ...). A C-contiguous float64 `params`
     argument is used in place, not copied. Write `params` in place; rebinding it would detach
-    the views."""
+    the views, and forward()'s bias views with them."""
 
     def __init__(
         self,
@@ -107,6 +114,49 @@ class AgentNet:
                 f"got shape {self.params.shape}"
             )
         self.__dict__.update(_views(self.params, self.layout))
+        self._step = _bind_step(self)
+
+
+class _StepOperands(NamedTuple):
+    """forward()'s operands besides its inputs, record and weights, bound
+    once per net. Each product goes into a private (..., m, 1) column, the
+    shape np.matmul writes, and is read through a view that drops the
+    column axis, gate-major (4, ..., hidden_dim) for the LSTM's."""
+
+    x_col: np.ndarray  # input layer product
+    x_pre: np.ndarray
+    zx_col: np.ndarray  # LSTM input product
+    zx_gates: np.ndarray
+    zh_col: np.ndarray  # LSTM recurrent product
+    zh_gates: np.ndarray
+    logits_col: np.ndarray  # actor product
+    logits: np.ndarray
+    v_col: np.ndarray  # critic product
+    v: np.ndarray  # without either length-1 axis
+    z: np.ndarray  # gate-major pre-activations, private too
+    lstm_b_gates: np.ndarray  # the LSTM bias, gate-major
+    critic_b: np.ndarray  # the critic bias without its length-1 axis
+
+
+def _bind_step(net: AgentNet) -> _StepOperands:
+    lead, hd = net.params.shape[:-1], net.hidden_dim
+
+    def column(m: int) -> tuple[np.ndarray, np.ndarray]:
+        col = np.empty(lead + (m, 1))
+        return col, col[..., 0]
+
+    def gates(a: np.ndarray) -> np.ndarray:
+        return a.reshape(lead + (4, hd)).swapaxes(0, -2)
+
+    x_col, x_pre = column(hd)
+    zx_col, zx = column(4 * hd)
+    zh_col, zh = column(4 * hd)
+    logits_col, logits = column(net.n_actions)
+    v_col, v = column(1)
+    return _StepOperands(
+        x_col, x_pre, zx_col, gates(zx), zh_col, gates(zh), logits_col, logits, v_col,
+        v[..., 0], np.empty((4,) + lead + (hd,)), gates(net.lstm_b), net.critic_b[..., 0],
+    )
 
 
 def stack_nets(nets: Sequence[AgentNet]) -> AgentNet:
@@ -184,15 +234,6 @@ def zero_hidden(hidden_dim: int) -> Hidden:
     return Hidden(h=np.zeros(hidden_dim), c=np.zeros(hidden_dim))
 
 
-def _mv(w: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """w @ v per agent: (..., m, k) matrices times (..., k) vectors, one BLAS
-    matrix-vector product per agent, written into `out` when one is given."""
-    if out is None:
-        return np.matmul(w, v[..., None])[..., 0]
-    np.matmul(w, v[..., None], out=out[..., None])
-    return out
-
-
 def forward(
     net: AgentNet, obs: np.ndarray, hidden: Hidden, out: ForwardRecord | None = None
 ) -> tuple[np.ndarray, float | np.ndarray, Hidden, ForwardRecord]:
@@ -213,27 +254,35 @@ def forward(
     (a copy onto itself is skipped), and out.h_new may share memory with
     hidden.h. No other field of out may overlap obs or hidden. Without out,
     the record's fields are fresh arrays but for obs (as a float array),
-    hidden.h and hidden.c, which are its obs, h_prev and c_prev.
+    hidden.h and hidden.c, which are its obs, h_prev and c_prev. Either
+    way, value and new_hidden.c are fresh arrays.
     """
     obs = np.asarray(obs, dtype=float)
-    lead, hd = net.params.shape[:-1], net.hidden_dim
+    lead = net.params.shape[:-1]
     if obs.shape != lead + (net.obs_dim,):
         raise ValueError(f"expected obs shape {lead + (net.obs_dim,)}, got {obs.shape}")
+    (x_col, x_pre, zx_col, zx_gates, zh_col, zh_gates, logits_col, logits,
+     v_col, v, z, lstm_b_gates, critic_b) = net._step
     if out is None:
-        # Nothing to write into: each step below allocates its result.
-        out = ForwardRecord(obs, None, hidden.h, hidden.c, *(None,) * 7)
+        # Nothing to write into: the step's results go to fresh arrays.
+        width = lead + (net.hidden_dim,)
+        out = ForwardRecord(
+            obs, np.empty(width), hidden.h, hidden.c,
+            *(np.empty(width) for _ in range(6)), np.empty(lead + (net.n_actions,)),
+        )
     else:
         out.obs[...] = obs
         out.h_prev[...] = hidden.h
         out.c_prev[...] = hidden.c
-    x = _mv(net.input_w, out.obs, out.x)
-    x += net.input_b
-    np.tanh(x, out=x)
-    z = _mv(net.lstm_wx, x)
-    z += _mv(net.lstm_wh, out.h_prev)
-    z += net.lstm_b
+    x = out.x
+    np.matmul(net.input_w, out.obs[..., None], out=x_col)
+    x_pre += net.input_b
+    np.tanh(x_pre, out=x)
+    np.matmul(net.lstm_wx, x[..., None], out=zx_col)
+    np.matmul(net.lstm_wh, out.h_prev[..., None], out=zh_col)
     # Gate-major: each gate's block of every agent in one contiguous array.
-    z = np.ascontiguousarray(z.reshape(lead + (4, hd)).swapaxes(0, -2))
+    np.add(zx_gates, zh_gates, out=z)
+    z += lstm_b_gates
     # The cell gate is tanh(z); the other three are the sigmoid
     # 0.5 (1 + tanh(z / 2)), taken over all four blocks at once up to the
     # final halving, which writes each gate.
@@ -251,18 +300,20 @@ def forward(
     c_new += tanh_c
     np.tanh(c_new, out=tanh_c)
     h_new = np.multiply(gate_o, tanh_c, out=out.h_new)
-    policy = _mv(net.actor_w, h_new, out.policy)
-    policy += net.actor_b
+    h_col = h_new[..., None]
+    np.matmul(net.actor_w, h_col, out=logits_col)
+    policy = np.add(logits, net.actor_b, out=out.policy)
     policy -= np.maximum.reduce(policy, axis=-1, keepdims=True)
     np.exp(policy, out=policy)
     policy /= np.add.reduce(policy, axis=-1, keepdims=True)
-    value = (_mv(net.critic_w, h_new) + net.critic_b)[..., 0]
-    if not (np.isfinite(policy).all() and np.isfinite(value).all()):
+    np.matmul(net.critic_w, h_col, out=v_col)
+    value = np.add(v, critic_b)
+    # Counting costs less than an all() reduction, which goes through
+    # NumPy's Python-level wrapper.
+    finite = np.count_nonzero(np.isfinite(policy)) + np.count_nonzero(np.isfinite(value))
+    if finite != policy.size + np.size(value):
         raise FloatingPointError("non-finite network output")
-    record = ForwardRecord(
-        out.obs, x, out.h_prev, out.c_prev, gate_i, gate_f, gate_g, gate_o, tanh_c, h_new, policy
-    )
-    return policy, value[()], Hidden(h=h_new, c=c_new), record
+    return policy, value, Hidden(h=h_new, c=c_new), out
 
 
 # Steps per window of backward()'s reverse pass. dz, the heads' dL/dh and
@@ -426,7 +477,8 @@ def save_params(net: AgentNet, path: str | Path) -> None:
 def load_params(path: str | Path) -> AgentNet:
     """Rebuild a network from save_params output; round-trips exactly.
     Raises DataError when the file is not a checkpoint, lacks an entry, or
-    holds a dimension that is not one integer or a vector that misfits them."""
+    holds a dimension that is not one integer, a parameter vector that is
+    not floating point, or one that misfits the dimensions."""
     try:
         with np.load(path) as data:
             entries = {k: data[k] for k in _CHECKPOINT_KEYS if k in data.files}
@@ -441,9 +493,14 @@ def load_params(path: str | Path) -> AgentNet:
     if bad:
         raise DataError(f"{path}: {', '.join(bad)}: not one integer")
     dims = [int(entries[k]) for k in _CHECKPOINT_KEYS[1:]]
-    if entries["flat"].ndim != 1:
-        raise DataError(f"{path}: parameter vector has shape {entries['flat'].shape}")
+    flat = entries["flat"]
+    # AgentNet converts to float64 unchecked: it would drop a complex
+    # vector's imaginary parts and parse a text one.
+    if flat.dtype.kind != "f":
+        raise DataError(f"{path}: parameter vector has dtype {flat.dtype}, not float")
+    if flat.ndim != 1:
+        raise DataError(f"{path}: parameter vector has shape {flat.shape}")
     try:
-        return AgentNet(*dims, params=entries["flat"])
+        return AgentNet(*dims, params=flat)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None

@@ -194,25 +194,34 @@ def rollout(
     buffers that train allocates once per run (see _episode_tape), or of a
     fresh one; the episode's tape is then a view of the rows it wrote,
     valid only until the next rollout into the same tape. Without rng, play
-    is greedy (argmax, lowest index wins ties) and keeps none."""
+    is greedy (argmax, lowest index wins ties) and keeps none: every step's
+    forward call writes into one step record, a one-row _episode_tape
+    allocated once per rollout, which the next step overwrites. Of a
+    greedy step's results, only the value and the cell state are fresh
+    arrays."""
     obs = env.reset(seed=episode_seed)
     obs_dim = obs_dim_for(obs_mode)
     n_steps, n_agents = env.cfg.episode_steps, env.n_agents
     zeros = np.zeros((n_agents, net.hidden_dim))
     hidden = nn.Hidden(h=zeros, c=zeros)
-    if rng is not None and tape is None:
-        tape = _episode_tape(n_steps, net)
-    elif rng is not None and min(map(len, tape)) < n_steps:
-        raise ValueError(f"tape holds fewer than the episode's {n_steps} steps")
+    if rng is None:
+        # Greedy, every step writes into one record.
+        rows = itertools.repeat(nn.ForwardRecord(*(a[0] for a in _episode_tape(1, net))))
+    else:
+        if tape is None:
+            tape = _episode_tape(n_steps, net)
+        elif min(map(len, tape)) < n_steps:
+            raise ValueError(f"tape holds fewer than the episode's {n_steps} steps")
+        # Sampled, forward writes step t straight into row t of the tape.
+        rows = map(nn.ForwardRecord._make, zip(*tape))
     actions = np.empty((n_steps, n_agents), dtype=np.intp)
     values = np.empty((n_steps, n_agents))
     log = np.empty((len(LOG_FIELDS), n_steps, env.n_vehicles))
-    # Sampled, forward writes step t straight into row t of the tape.
-    rows = itertools.repeat(None) if rng is None else map(nn.ForwardRecord._make, zip(*tape))
     for t, out in zip(range(n_steps), rows):
         policy, values[t], hidden, _ = nn.forward(net, obs[:, :obs_dim], hidden, out)
         if rng is None:
-            actions[t] = np.argmax(policy, axis=1)
+            # The method skips np.argmax's Python-level wrapper.
+            actions[t] = policy.argmax(axis=1)
         else:
             actions[t] = sample_actions(rng, policy)
         outcome = env.step(actions[t], policy if obs_mode == "fprint" else None)

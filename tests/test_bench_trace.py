@@ -12,7 +12,9 @@ reaches ``nn.backward`` and ``train.apply_consensus``: a training path that
 called either through another name would run untraced.
 It also holds training to one agent-batched forward call per step and one
 agent-batched backward call per episode, which returns the actor's and the
-critic's gradients together.
+critic's gradients together, and greedy evaluation to one forward call per
+step: a rollout that stepped the network under another name would leave the
+``nn.forward`` layer empty.
 """
 
 import json
@@ -55,3 +57,8 @@ def test_traced_train_benchmark_sees_backward_and_consensus():
     assert metrics["nn.backward.calls_per_episode"]["value"] == 1
     assert metrics["nn.forward.calls_per_step"]["value"] == 1
     assert metrics["consensus.rounds"]["value"] >= 1
+
+
+def test_traced_eval_benchmark_sees_forward():
+    metrics = run_traced("eval-n4")["metrics"]
+    assert metrics["nn.forward.calls_per_step"]["value"] == 1

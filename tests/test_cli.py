@@ -278,7 +278,9 @@ class TestEvalCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "agent0.npz" in err and "'fprint'" in err
 
-    @pytest.mark.parametrize("defect", ["one parameter short", "no hidden_dim", "float obs_dim"])
+    @pytest.mark.parametrize(
+        "defect", ["one parameter short", "no hidden_dim", "float obs_dim", "complex flat"]
+    )
     def test_bad_checkpoint_is_data_error(self, defect, tiny_config, tmp_path, capsys):
         assert run_cli("train", "--config", str(tiny_config)) == 0
         path = tmp_path / "runs" / "checkpoints" / "seed0" / "agent1.npz"
@@ -288,6 +290,8 @@ class TestEvalCli:
             entries["flat"] = entries["flat"][:-1]
         elif defect == "float obs_dim":
             entries["obs_dim"] = entries["obs_dim"] + 0.9
+        elif defect == "complex flat":
+            entries["flat"] = entries["flat"] + 1j
         else:
             del entries["hidden_dim"]
         np.savez(path, **entries)

@@ -14,6 +14,8 @@ import pytest
 from platoonrl.errors import DataError
 from platoonrl.nn import (
     AgentNet,
+    ForwardRecord,
+    Hidden,
     backward,
     flatten_params,
     forward,
@@ -23,6 +25,7 @@ from platoonrl.nn import (
     param_count,
     save_params,
     set_flat_params,
+    stack_nets,
     zero_hidden,
 )
 
@@ -228,6 +231,85 @@ class TestForward:
             forward(net, np.zeros(OBS_DIM), zero_hidden(HIDDEN))
 
 
+def stacked(n_agents, hidden_dim, seed):
+    """An n_agents stack with heads scaled up, so policies are far from
+    uniform."""
+    rng = np.random.default_rng(seed)
+    net = stack_nets(
+        [init_agent_net(OBS_DIM, hidden_dim, N_ACTIONS, rng) for _ in range(n_agents)]
+    )
+    net.actor_w *= 40.0
+    net.critic_w *= 40.0
+    return net
+
+
+def snapshot(step):
+    """A copy of every array one forward() call returned."""
+    policy, value, hidden, record = step
+    return [np.copy(a) for a in (policy, value, *hidden, *record)]
+
+
+class TestForwardScratch:
+    """forward() computes into scratch bound to each net. Calls that share
+    a net, or alternate between nets of other sizes, must give the bits
+    each gives alone, and no call may change what an earlier one
+    returned."""
+
+    @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+    @pytest.mark.parametrize("two_nets", [False, True], ids=["one-net", "two-nets"])
+    def test_interleaved_calls_give_the_bits_of_lone_calls(self, two_nets, with_out):
+        a = stacked(4, 16, seed=1)
+        nets = [a, stacked(3, 8, seed=2) if two_nets else a]
+        rng = np.random.default_rng(3)
+        n_steps = 12
+        # Two episodes, one per entry of nets, each with its own carry.
+        obs = [
+            [rng.normal(scale=3.0, size=(len(net.params), OBS_DIM)) for _ in range(n_steps)]
+            for net in nets
+        ]
+
+        def start(net):
+            zeros = np.zeros((len(net.params), net.hidden_dim))
+            return Hidden(zeros, zeros)
+
+        def out_for(net):
+            if not with_out:
+                return None
+            n, hd = len(net.params), net.hidden_dim
+            widths = {"obs": OBS_DIM, "policy": N_ACTIONS}
+            return ForwardRecord(
+                *(np.full((n, widths.get(f, hd)), np.nan) for f in ForwardRecord._fields)
+            )
+
+        # Each episode alone, on its own copy of its net.
+        alone = []
+        for net, episode in zip(nets, obs):
+            copy = AgentNet(OBS_DIM, net.hidden_dim, N_ACTIONS, params=net.params.copy())
+            hidden, steps = start(copy), []
+            for o in episode:
+                steps.append(forward(copy, o, hidden, out_for(copy)))
+                hidden = steps[-1][2]
+            alone.append([snapshot(step) for step in steps])
+
+        # The two episodes a step at a time, alternating.
+        hiddens = [start(net) for net in nets]
+        returned, taken = [[], []], [[], []]
+        for t in range(n_steps):
+            for e, net in enumerate(nets):
+                step = forward(net, obs[e][t], hiddens[e], out_for(net))
+                hiddens[e] = step[2]
+                returned[e].append(step)
+                taken[e].append(snapshot(step))
+        for e in range(2):
+            for t in range(n_steps):
+                # Each array as the lone call gave it, as this call gave
+                # it, and as it reads after every later call.
+                now = snapshot(returned[e][t])
+                for want, got, later in zip(alone[e][t], taken[e][t], now):
+                    assert got.shape == want.shape and np.array_equal(got, want), (e, t)
+                    assert np.array_equal(later, got), (e, t)
+
+
 class TestBackward:
     def test_zero_loss_grads_give_zero_bundle(self):
         net = make_net(1)
@@ -382,7 +464,8 @@ class TestCheckpointIo:
     @pytest.mark.parametrize(
         "defect",
         ["short", "long", "no flat", "no n_actions",
-         "vector obs_dim", "text obs_dim", "empty hidden_dim", "float obs_dim"],
+         "vector obs_dim", "text obs_dim", "empty hidden_dim", "float obs_dim",
+         "complex flat", "text flat", "int flat", "bool flat"],
     )
     def test_bad_checkpoint_raises_data_error(self, defect, tmp_path):
         net = make_net(42)
@@ -405,6 +488,11 @@ class TestCheckpointIo:
         elif defect == "float obs_dim":
             # int() would truncate it to a valid dimension.
             entries["obs_dim"] = OBS_DIM + 0.9
+        elif defect in ("complex flat", "text flat", "int flat", "bool flat"):
+            # Each converts to float64 without an error, a complex vector
+            # losing its imaginary parts and a text one parsed as numbers.
+            kind = {"complex": complex, "text": str, "int": int, "bool": bool}
+            entries["flat"] = entries["flat"].astype(kind[defect.split()[0]])
         else:
             del entries[defect.removeprefix("no ")]
         path = tmp_path / "agent0.npz"

@@ -273,6 +273,56 @@ class TestEpisodeBuffers:
         assert growth < 2**20, f"1200 steps peak {growth / 2**20:.2f} MiB above 600"
 
 
+class TestGreedyRollout:
+    @staticmethod
+    def hand_rollout(env, net, obs_mode, seed):
+        """A greedy episode by hand: nn.forward without `out`, each step's
+        results in fresh arrays, then env.step."""
+        obs = env.reset(seed=seed)
+        obs_dim = obs_dim_for(obs_mode)
+        zeros = np.zeros((env.n_agents, net.hidden_dim))
+        hidden = nn.Hidden(zeros, zeros)
+        actions, values, log = [], [], []
+        for _ in range(env.cfg.episode_steps):
+            policy, value, hidden, _ = nn.forward(net, obs[:, :obs_dim], hidden)
+            actions.append(np.argmax(policy, axis=1))
+            values.append(value)
+            outcome = env.step(actions[-1], policy if obs_mode == "fprint" else None)
+            log.append(env.vehicle_values())
+            if outcome.done:
+                break
+            obs = outcome.observations
+        return np.array(actions), np.array(values), np.stack(log, axis=1), outcome.collisions
+
+    @pytest.mark.parametrize(
+        "obs_mode, n_vehicles, replay",
+        [("ia2c", 4, False), ("fprint", 4, False), ("ia2c", 6, True)],
+        ids=["ia2c", "fprint", "trace-replay-6"],
+    )
+    def test_greedy_rollout_is_the_hand_loop(self, obs_mode, n_vehicles, replay):
+        # A greedy rollout computes every step into one record; the hand
+        # loop allocates each step's results. Heads scaled up so the argmax
+        # moves between actions.
+        cfg = ScenarioConfig(
+            n_vehicles=n_vehicles, leader_mode="trace-replay" if replay else "virtual-target"
+        )
+        t = np.arange(cfg.episode_steps + 1) * cfg.dt
+        profile = 15.0 + 2.0 * np.sin(2.0 * np.pi * t / 20.0) if replay else None
+        env = PlatoonEnv(cfg, leader_profile=profile)
+        net = stacked_net(env.n_agents, 8, seed=n_vehicles, obs_dim=obs_dim_for(obs_mode))
+        net.actor_w *= 40.0
+        net.critic_w *= 40.0
+        for seed in range(3):
+            ep = rollout(env, net, obs_mode, seed)
+            actions, values, log, collisions = self.hand_rollout(env, net, obs_mode, seed)
+            assert ep.tape is None
+            assert np.array_equal(ep.actions, actions)
+            assert np.array_equal(ep.values, values)
+            assert np.array_equal(ep.log, log, equal_nan=True)
+            assert ep.collisions == collisions
+            assert len(np.unique(actions)) > 1
+
+
 class TestTrainLog:
     def test_csv_format(self, tmp_path):
         result = train(tiny_train(), tiny_scenario(), hidden_dim=8)
