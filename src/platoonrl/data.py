@@ -53,10 +53,10 @@ class LeaderProfile:
 def parse_trace_csv(path: str | Path) -> TraceTable:
     """Read a wide trace CSV.
 
-    Requires a `time` header plus at least one `v<k>` column. Timestamps must
-    be strictly increasing (duplicates are rejected); velocities must sit in
-    the [0, 60] m/s sanity band. Row indices in error messages count data
-    rows from 1.
+    Requires a `time` header plus at least one `v<k>` column, and no header
+    twice. Timestamps must be strictly increasing (duplicates are
+    rejected); velocities must sit in the [0, 60] m/s sanity band. Row
+    indices in error messages count data rows from 1.
     """
     path = Path(path)
     try:
@@ -70,6 +70,10 @@ def parse_trace_csv(path: str | Path) -> TraceTable:
     except OSError as exc:
         raise DataError(f"cannot read trace file {path}: {exc}") from exc
     header = [h.strip() for h in header]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        # Columns are looked up by name, so a second one would be ignored.
+        raise DataError(f"{path}: repeated column {', '.join(map(repr, repeated))}")
     if "time" not in header:
         raise DataError(f"{path}: missing required column 'time'")
     vel_cols = [h for h in header if _VEL_COL.match(h)]

@@ -34,6 +34,18 @@ any agent's numbers. backward() takes a stack only, with its activations
 and its two loss seeds shaped (T, n_agents, ...), and returns one gradient
 per seed from a single reverse pass: the actor's and the critic's, which
 train clips and steps apart.
+
+Threads: backward() starts one helper thread per call, which adds each
+window's trunk weight products into the gradients while the calling thread
+runs the next window's recurrence; the calling thread adds the first
+window's products, the last ones, itself, so an episode of one window
+starts no thread. The helper reads the tape, the net's
+lstm_wx and the window's dz, writes only the gradients backward() returns
+and its own scratch, and is joined before backward() returns, also when it
+raises; its exception is raised from backward() as it was raised. A call
+writes nothing but its own buffers and the gradients it returns, so
+backward() may run from several threads at once. With more than one BLAS
+thread, the two threads of a call oversubscribe a two-core machine.
 """
 
 from __future__ import annotations
@@ -318,13 +330,19 @@ def forward(
 
 # Steps per window of backward()'s reverse pass. dz, the heads' dL/dh and
 # the gate factors are built for one window at a time, so the pass's memory
-# is bounded by the window rather than by the episode. Each window adds one
-# set of weight products per agent, so very short windows pay more of those
-# calls. On a 600-step, 4-agent, hidden-64 episode (one BLAS thread,
-# 2-core VM) a call took 43, 36, 33, 33, 32 and 39 ms at windows of 25, 50,
-# 100, 150, 200 and 600 steps, at tracemalloc peaks of 5.1, 6.0, 7.7, 9.5,
-# 11.2 and 24.5 MiB: past 100 steps a window saves little time and costs
-# about 1.8 MiB per 50 steps more.
+# is bounded by the window rather than by the episode. A window is also a
+# stage of the pipeline, so an episode of one window gains nothing from the
+# helper. Each window adds one set of weight products per agent, so very
+# short windows pay more of those calls; the window is their inner
+# dimension, so another window moves the gradients' last bits. On a
+# 600-step, 4-agent, hidden-64 episode (one BLAS thread, 2-core VM, the
+# serial pass and the pipelined one interleaved in one process, medians of
+# 20 calls) a call took 60, 46, 41, 41, 43 and 42 ms serially and 39, 28,
+# 28, 29, 31 and 42 ms pipelined at windows of 25, 50, 100, 150, 200 and
+# 600 steps, at tracemalloc peaks of 5.1, 6.0, 7.7, 9.5, 11.4 and 24.5 MiB
+# serially and 4.6, 5.7, 7.9, 10.2, 12.6 and 32.9 MiB pipelined (at 600,
+# one window, the second dz buffer goes unused): past 100 steps a window
+# saves no time and costs about 2.3 MiB per 50 steps more.
 _WINDOW = 100
 
 
@@ -350,6 +368,20 @@ def backward(
     every agent together; at the window's end its trunk weight products,
     one per agent for both seeds, are added into the result. The head
     gradients are products over the whole episode.
+
+    The windows are a two-stage pipeline. The calling thread runs each
+    window's recurrence into one of two dz buffers and hands the window to
+    one helper thread, started per call, which adds its trunk products
+    (lstm_wx, lstm_wh, lstm_b, input_w, input_b) into the result in window
+    order while the calling thread runs the next window into the other
+    buffer. Before a buffer is written again, the products that read it
+    have finished. The first window's products, the last to be added, the
+    calling thread adds itself once the helper has added the others. Each element is computed by the same arithmetic, and
+    added into the result in the same order, as in the serial windowed
+    pass that tests/reference_nn.py keeps, so the gradients are bit for bit
+    the same. The helper reads the tape, lstm_wx and dz, writes only the
+    returned gradients and its own scratch, and is joined before this
+    returns; an exception it raises is raised here.
     """
     if net.params.ndim != 2:
         raise ValueError("backward takes an (n_agents, P) stack; build one with stack_nets")
@@ -380,10 +412,12 @@ def backward(
     g["critic_b"][1, :, 0] = d_value_rows.sum(axis=1)
 
     w_max = min(_WINDOW, n_steps)
-    # The window's buffers, the seed axis next to the hidden one. dz is
-    # agent-major, so each agent's window is one matrix of the weight
-    # products; the others are step-major, as the tape is.
-    dz = np.empty((n_agents, w_max, 2, 4, hd))
+    # Two window buffers, the seed axis next to the hidden one: the helper
+    # reads one window's dz while the recurrence writes the next window's
+    # into the other. dz is agent-major, so each agent's window is one
+    # matrix of the weight products; the others are step-major, as the
+    # tape is.
+    dz = np.empty((2, n_agents, w_max, 2, 4, hd))
     # The heads' dL/dh, to which each step adds the recurrent term in place.
     dh = np.empty((w_max, n_agents, 2, 1, hd))
     # dz's four gate blocks (input, forget, cell, output) are dc times
@@ -391,59 +425,101 @@ def backward(
     # s(1 - s) for sigmoids and 1 - g^2 for tanh, times gate_g, c_prev,
     # gate_i and tanh_c. Factor 4 is dc's g_o (1 - tanh_c^2).
     factors = np.empty((w_max, n_agents, 1, 5, hd))
-    prod = np.empty((n_agents, 8 * hd, hd))
+    # The helper's scratch: a window's two trunk products, then, once both
+    # are added, its dL/dx, 1 - x^2 and input-layer product.
+    scratch = np.empty(n_agents * hd * max(8 * hd, 3 * w_max + 2 * net.obs_dim))
     dh_next = np.zeros((n_agents, 2, 1, hd))
     dc_next = np.zeros((n_agents, 2, 1, hd))
     dc = np.empty((n_agents, 2, 1, hd))
-    for t0 in reversed(range(0, n_steps, w_max)):
-        t = slice(t0, min(t0 + w_max, n_steps))
-        w = t.stop - t0
-        f = factors[:w, :, 0]
-        for k, s, times in (
-            (0, r.gate_i, r.gate_g), (1, r.gate_f, r.c_prev), (3, r.gate_o, r.tanh_c)
-        ):
-            np.subtract(1.0, s[t], out=f[:, :, k])
-            f[:, :, k] *= s[t]
-            f[:, :, k] *= times[t]
-        for k, s, times in ((2, r.gate_g, r.gate_i), (4, r.tanh_c, r.gate_o)):
-            np.square(s[t], out=f[:, :, k])
-            np.subtract(1.0, f[:, :, k], out=f[:, :, k])
-            f[:, :, k] *= times[t]
-        heads = dh[:w, :, :, 0]
-        np.matmul(by_agent(d_logits[t]), net.actor_w, out=by_agent(heads[:, :, 0]))
-        np.multiply(d_value[t, :, None], net.critic_w[:, 0], out=heads[:, :, 1])
-        dz_w = dz[:, :w]
-        per_step = (
-            dh[:w], factors[:w, ..., :3, :], factors[:w, ..., 3:4, :],
-            factors[:w, ..., 4:, :], r.gate_f[t, :, None, None],
-            by_agent(dz_w[..., :3, :]), by_agent(dz_w[..., 3:, :]),
-            by_agent(dz_w.reshape(n_agents, w, 2, 4 * hd)),
-        )
-        for dh_t, a_gates, a_o, b, g_f, dz_gates, dz_o, dz_t in zip(*(a[::-1] for a in per_step)):
-            dh_t += dh_next
-            np.multiply(dh_t, b, out=dc)
-            dc += dc_next
-            np.multiply(dc, a_gates, out=dz_gates)
-            np.multiply(dh_t, a_o, out=dz_o)
-            np.matmul(dz_t, net.lstm_wh, out=dh_next[:, :, 0])
-            np.multiply(dc, g_f, out=dc_next)
-        # The window's trunk products, both seeds of an agent in one: seed
-        # k's rows of the results are its gradient.
+
+    def add_by_agent(grad: np.ndarray, product: np.ndarray) -> None:
+        """grad (2, n_agents, ...) += product (n_agents, 2 * m, ...), seed
+        k's rows of an agent's product onto its seed-k gradient. Each agent
+        is one 2-D add, which NumPy makes in place, where one 4-D add would
+        first copy the whole operand."""
+        for grad_i, product_i in zip(by_agent(grad), product):
+            rows = grad_i.reshape(2, -1)
+            rows += product_i.reshape(2, -1)
+
+    def add_trunk_products(t: slice, dz_w: np.ndarray) -> None:
+        """Window t's trunk products, both seeds of an agent in one, added
+        into g: the helper's work, and the calling thread's for the first
+        window. Reads dz_w, the tape and lstm_wx."""
+        w = t.stop - t.start
         dz_rows = dz_w.reshape(n_agents, w, 8 * hd)
+        prod = scratch[: n_agents * 8 * hd * hd].reshape(n_agents, 8 * hd, hd)
         for name, a in (("lstm_wx", r.x), ("lstm_wh", r.h_prev)):
             np.matmul(dz_rows.swapaxes(1, 2), by_agent(a[t]), out=prod)
-            g[name] += by_agent(prod.reshape(n_agents, 2, 4 * hd, hd))
+            add_by_agent(g[name], prod)
         g["lstm_b"] += by_agent(dz_rows.sum(axis=1).reshape(n_agents, 2, 4 * hd))
         # dL/dx, times tanh's derivative 1 - x^2.
-        d_pre = np.matmul(dz_w.reshape(n_agents, 2 * w, 4 * hd), net.lstm_wx)
+        sizes = np.cumsum([2 * w * hd, w * hd, 2 * hd * net.obs_dim]) * n_agents
+        d_pre, d_x, in_prod = np.split(scratch[: sizes[-1]], sizes[:-1])
+        d_pre = np.matmul(
+            dz_w.reshape(n_agents, 2 * w, 4 * hd), net.lstm_wx,
+            out=d_pre.reshape(n_agents, 2 * w, hd),
+        )
         d_pre = d_pre.reshape(n_agents, w, 2, hd)
-        d_x = np.square(r.x[t])
+        d_x = np.square(r.x[t], out=d_x.reshape(w, n_agents, hd))
         d_pre *= by_agent(np.subtract(1.0, d_x, out=d_x))[:, :, None]
         d_rows = d_pre.reshape(n_agents, w, 2 * hd)
-        g["input_w"] += by_agent(
-            np.matmul(d_rows.swapaxes(1, 2), by_agent(r.obs[t])).reshape(n_agents, 2, hd, -1)
-        )
+        in_prod = in_prod.reshape(n_agents, 2 * hd, net.obs_dim)
+        np.matmul(d_rows.swapaxes(1, 2), by_agent(r.obs[t]), out=in_prod)
+        add_by_agent(g["input_w"], in_prod)
         g["input_b"] += by_agent(d_pre.sum(axis=1))
+
+    # Imported here, not at the top: importing the package starts no thread
+    # and loads no executor.
+    from concurrent.futures import ThreadPoolExecutor
+
+    windows = []  # each submitted window's products, in window order
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for t0 in reversed(range(0, n_steps, w_max)):
+            t = slice(t0, min(t0 + w_max, n_steps))
+            w = t.stop - t0
+            f = factors[:w, :, 0]
+            for k, s, times in (
+                (0, r.gate_i, r.gate_g), (1, r.gate_f, r.c_prev), (3, r.gate_o, r.tanh_c)
+            ):
+                np.subtract(1.0, s[t], out=f[:, :, k])
+                f[:, :, k] *= s[t]
+                f[:, :, k] *= times[t]
+            for k, s, times in ((2, r.gate_g, r.gate_i), (4, r.tanh_c, r.gate_o)):
+                np.square(s[t], out=f[:, :, k])
+                np.subtract(1.0, f[:, :, k], out=f[:, :, k])
+                f[:, :, k] *= times[t]
+            heads = dh[:w, :, :, 0]
+            np.matmul(by_agent(d_logits[t]), net.actor_w, out=by_agent(heads[:, :, 0]))
+            np.multiply(d_value[t, :, None], net.critic_w[:, 0], out=heads[:, :, 1])
+            if len(windows) >= 2:
+                # The buffer still holds the dz of the window two later
+                # until that window's products have read it.
+                windows[-2].result()
+            dz_w = dz[len(windows) % 2, :, :w]
+            per_step = (
+                dh[:w], factors[:w, ..., :3, :], factors[:w, ..., 3:4, :],
+                factors[:w, ..., 4:, :], r.gate_f[t, :, None, None],
+                by_agent(dz_w[..., :3, :]), by_agent(dz_w[..., 3:, :]),
+                by_agent(dz_w.reshape(n_agents, w, 2, 4 * hd)),
+            )
+            for dh_t, a_gates, a_o, b, g_f, dz_gates, dz_o, dz_t in zip(
+                *(a[::-1] for a in per_step)
+            ):
+                dh_t += dh_next
+                np.multiply(dh_t, b, out=dc)
+                dc += dc_next
+                np.multiply(dc, a_gates, out=dz_gates)
+                np.multiply(dh_t, a_o, out=dz_o)
+                np.matmul(dz_t, net.lstm_wh, out=dh_next[:, :, 0])
+                np.multiply(dc, g_f, out=dc_next)
+            if t0:
+                windows.append(helper.submit(add_trunk_products, t, dz_w))
+        for window in windows:
+            window.result()
+    # The first window's products come last, so the calling thread adds
+    # them itself rather than wait for the helper; an episode of one window
+    # starts no thread.
+    add_trunk_products(t, dz_w)
     return grads[0], grads[1]
 
 

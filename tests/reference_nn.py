@@ -9,6 +9,10 @@
   every step adds outer products into the gradient, and each loss seed is
   a list of one (dL/dpolicy_t, dL/dvalue_t) pair per step.
 - actor_loss_grads() and critic_loss_grads() build those per-step seeds.
+- windowed_backward() is the package's backward() as it ran before its
+  window products moved to a helper thread: the same NumPy calls in the
+  same order, all on the calling thread. The pipelined pass must give its
+  bits.
 - one_agent_backward() runs the package's backward() on one agent's net
   and per-step records, as a stack of one, and returns the gradient of the
   loss both seeds make together.
@@ -124,6 +128,108 @@ def one_agent_backward(
     seeds = (np.asarray(d, dtype=float)[:, None] for d in (d_policy, d_value))
     g_policy, g_value = nn.backward(nn.stack_nets([net]), tape, *seeds)
     return (g_policy + g_value)[0]
+
+
+def windowed_backward(
+    net: AgentNet, tape: ForwardRecord, d_policy: np.ndarray, d_value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """nn.backward's serial windowed pass: each window's trunk weight
+    products are added into the gradients on the calling thread before the
+    next window's recurrence starts."""
+    if net.params.ndim != 2:
+        raise ValueError("backward takes an (n_agents, P) stack; build one with stack_nets")
+    d_policy = np.asarray(d_policy, dtype=float)
+    d_value = np.asarray(d_value, dtype=float)
+    r = tape
+    n_steps, n_agents, hd = len(r.policy), len(net.params), net.hidden_dim
+    if d_policy.shape != (n_steps, n_agents, net.n_actions) or d_value.shape != (n_steps, n_agents):
+        raise ValueError(f"loss seeds {d_policy.shape}, {d_value.shape} for {n_steps} steps")
+    p = r.policy
+    d_logits = p * (d_policy - np.sum(p * d_policy, axis=-1, keepdims=True))
+
+    def by_agent(a: np.ndarray) -> np.ndarray:
+        """(T, n_agents, ...) as (n_agents, T, ...): each agent's episode."""
+        return a.swapaxes(0, 1)
+
+    # One (2, n_agents, P) result, policy seed first; g[name][k] is seed
+    # k's view of a weight array.
+    grads = np.zeros((2,) + net.params.shape)
+    g = _views(grads, net.layout)
+    np.matmul(by_agent(d_logits).swapaxes(1, 2), by_agent(r.h_new), out=g["actor_w"][0])
+    g["actor_b"][0] = d_logits.sum(axis=0)
+    # Each agent's critic seeds in one contiguous row, as a single agent's
+    # are: their sum is then pairwise and their product with h_new takes
+    # the same BLAS path, so neither moves an agent's numbers.
+    d_value_rows = np.ascontiguousarray(d_value.T)
+    np.matmul(d_value_rows[:, None], by_agent(r.h_new), out=g["critic_w"][1])
+    g["critic_b"][1, :, 0] = d_value_rows.sum(axis=1)
+
+    w_max = min(nn._WINDOW, n_steps)
+    # The window's buffers, the seed axis next to the hidden one. dz is
+    # agent-major, so each agent's window is one matrix of the weight
+    # products; the others are step-major, as the tape is.
+    dz = np.empty((n_agents, w_max, 2, 4, hd))
+    # The heads' dL/dh, to which each step adds the recurrent term in place.
+    dh = np.empty((w_max, n_agents, 2, 1, hd))
+    # dz's four gate blocks (input, forget, cell, output) are dc times
+    # factors 0-2 and dh times factor 3: each gate's squashing derivative,
+    # s(1 - s) for sigmoids and 1 - g^2 for tanh, times gate_g, c_prev,
+    # gate_i and tanh_c. Factor 4 is dc's g_o (1 - tanh_c^2).
+    factors = np.empty((w_max, n_agents, 1, 5, hd))
+    prod = np.empty((n_agents, 8 * hd, hd))
+    dh_next = np.zeros((n_agents, 2, 1, hd))
+    dc_next = np.zeros((n_agents, 2, 1, hd))
+    dc = np.empty((n_agents, 2, 1, hd))
+    for t0 in reversed(range(0, n_steps, w_max)):
+        t = slice(t0, min(t0 + w_max, n_steps))
+        w = t.stop - t0
+        f = factors[:w, :, 0]
+        for k, s, times in (
+            (0, r.gate_i, r.gate_g), (1, r.gate_f, r.c_prev), (3, r.gate_o, r.tanh_c)
+        ):
+            np.subtract(1.0, s[t], out=f[:, :, k])
+            f[:, :, k] *= s[t]
+            f[:, :, k] *= times[t]
+        for k, s, times in ((2, r.gate_g, r.gate_i), (4, r.tanh_c, r.gate_o)):
+            np.square(s[t], out=f[:, :, k])
+            np.subtract(1.0, f[:, :, k], out=f[:, :, k])
+            f[:, :, k] *= times[t]
+        heads = dh[:w, :, :, 0]
+        np.matmul(by_agent(d_logits[t]), net.actor_w, out=by_agent(heads[:, :, 0]))
+        np.multiply(d_value[t, :, None], net.critic_w[:, 0], out=heads[:, :, 1])
+        dz_w = dz[:, :w]
+        per_step = (
+            dh[:w], factors[:w, ..., :3, :], factors[:w, ..., 3:4, :],
+            factors[:w, ..., 4:, :], r.gate_f[t, :, None, None],
+            by_agent(dz_w[..., :3, :]), by_agent(dz_w[..., 3:, :]),
+            by_agent(dz_w.reshape(n_agents, w, 2, 4 * hd)),
+        )
+        for dh_t, a_gates, a_o, b, g_f, dz_gates, dz_o, dz_t in zip(*(a[::-1] for a in per_step)):
+            dh_t += dh_next
+            np.multiply(dh_t, b, out=dc)
+            dc += dc_next
+            np.multiply(dc, a_gates, out=dz_gates)
+            np.multiply(dh_t, a_o, out=dz_o)
+            np.matmul(dz_t, net.lstm_wh, out=dh_next[:, :, 0])
+            np.multiply(dc, g_f, out=dc_next)
+        # The window's trunk products, both seeds of an agent in one: seed
+        # k's rows of the results are its gradient.
+        dz_rows = dz_w.reshape(n_agents, w, 8 * hd)
+        for name, a in (("lstm_wx", r.x), ("lstm_wh", r.h_prev)):
+            np.matmul(dz_rows.swapaxes(1, 2), by_agent(a[t]), out=prod)
+            g[name] += by_agent(prod.reshape(n_agents, 2, 4 * hd, hd))
+        g["lstm_b"] += by_agent(dz_rows.sum(axis=1).reshape(n_agents, 2, 4 * hd))
+        # dL/dx, times tanh's derivative 1 - x^2.
+        d_pre = np.matmul(dz_w.reshape(n_agents, 2 * w, 4 * hd), net.lstm_wx)
+        d_pre = d_pre.reshape(n_agents, w, 2, hd)
+        d_x = np.square(r.x[t])
+        d_pre *= by_agent(np.subtract(1.0, d_x, out=d_x))[:, :, None]
+        d_rows = d_pre.reshape(n_agents, w, 2 * hd)
+        g["input_w"] += by_agent(
+            np.matmul(d_rows.swapaxes(1, 2), by_agent(r.obs[t])).reshape(n_agents, 2, hd, -1)
+        )
+        g["input_b"] += by_agent(d_pre.sum(axis=1))
+    return grads[0], grads[1]
 
 
 def backward(

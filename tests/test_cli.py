@@ -170,6 +170,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_replay_trace_with_a_repeated_column(self, tiny_config, trace_20s, tmp_path, capsys):
+        lines = trace_20s.read_text().splitlines()
+        trace = tmp_path / "repeated.csv"
+        trace.write_text("\n".join(["time,v1,v1"] + lines[1:]) + "\n")
+        code = run_cli(
+            "replay", "--config", str(tiny_config), "--trace", str(trace),
+            "--window", "0:5", "--output-dir", str(tmp_path / "r"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "repeated column 'v1'" in err
+
 
 class TestFitEnergy:
     def test_writes_coefficient_table(self, tmp_path, capsys):

@@ -55,6 +55,15 @@ class TestParseTraceCsv:
         with pytest.raises(DataError, match="row 3"):
             parse_trace_csv(p)
 
+    @pytest.mark.parametrize("header", ["time,v1,v1", "time,v1,time"])
+    def test_repeated_column_is_rejected(self, header, tmp_path):
+        # The second column used to be dropped: its values for v1, its
+        # decreasing timestamps for time.
+        p = write_csv(tmp_path / "t.csv", header + "\n0.0,10,12\n0.1,11,-5\n")
+        repeated = "v1" if header.endswith("v1") else "time"
+        with pytest.raises(DataError, match=f"repeated column '{repeated}'"):
+            parse_trace_csv(p)
+
     def test_ragged_row(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", "time,v1\n0.0,10\n0.1\n")
         with pytest.raises(DataError, match="fields"):

@@ -6,6 +6,9 @@ while one flat parameter at a time is bumped by ±1e-5. Analytic and FD
 values must agree within 1e-4 relative with a 1e-6 absolute floor.
 """
 
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 from platoonrl.errors import DataError
 from platoonrl.nn import (
+    _WINDOW,
     AgentNet,
     ForwardRecord,
     Hidden,
@@ -369,6 +373,85 @@ class TestBackward:
         _, _, one_rec = run_sequence(net, obs[:1])
         single = one_agent_backward(net, one_rec, dp[None, :], np.array([0.5]))
         assert np.allclose(only_first, single, atol=1e-12)
+
+
+def episode_inputs(net, n_steps, seed):
+    """backward()'s inputs for an n_steps episode of `net` on random
+    observations: the tape and random loss seeds."""
+    rng = np.random.default_rng(seed)
+    width = (len(net.params), net.hidden_dim)
+    hidden = Hidden(np.zeros(width), np.zeros(width))
+    records = []
+    for _ in range(n_steps):
+        _, _, hidden, record = forward(net, rng.normal(size=(len(net.params), OBS_DIM)), hidden)
+        records.append(record)
+    tape = ForwardRecord(*map(np.array, zip(*records)))
+    return tape, rng.normal(size=tape.policy.shape), rng.normal(size=tape.policy.shape[:2])
+
+
+def threads_after(count, timeout=5.0):
+    """threading.active_count() once it is down to count, or at the
+    timeout."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+class TestBackwardHelper:
+    """backward() adds every window's trunk products but the first on one
+    helper thread per call, which it joins before it returns."""
+
+    # One window, whose products the calling thread adds itself; two, where
+    # the helper's error is raised from the final wait; three, where it is
+    # raised before the third window reuses the first one's buffer.
+    @pytest.mark.parametrize("n_windows", [1, 2, 3])
+    @pytest.mark.parametrize("defect", ["wide", "short"])
+    def test_helper_error_propagates_and_no_thread_outlives_the_call(self, defect, n_windows):
+        net = stacked(3, 8, seed=4)
+        tape, d_policy, d_value = episode_inputs(net, n_windows * _WINDOW - 7, seed=5)
+        # Only the trunk products read the observations. One entry more
+        # than input_w takes fails every window's input-layer product; one
+        # step fewer than the episode fails only the last window's, which
+        # the helper adds unless it is the only window.
+        if defect == "wide":
+            bad = tape._replace(obs=np.concatenate([tape.obs, tape.obs[..., :1]], axis=-1))
+        else:
+            bad = tape._replace(obs=tape.obs[:-1])
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="matmul") as raised:
+            backward(net, bad, d_policy, d_value)
+        assert raised.type is ValueError
+        assert threads_after(before) == before
+        backward(net, tape, d_policy, d_value)
+        assert threads_after(before) == before
+
+    def test_concurrent_calls_give_the_bits_of_lone_calls(self):
+        nets = [stacked(4, 16, seed=6), stacked(3, 8, seed=7)]
+        inputs = [episode_inputs(nets[0], 350, seed=0), episode_inputs(nets[1], 230, seed=1)]
+        alone = [backward(net, *args) for net, args in zip(nets, inputs)]
+        results = [[], []]
+
+        def run(i):
+            for _ in range(3):
+                results[i].append(backward(nets[i], *inputs[i]))
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for want, got in zip(alone, results):
+            assert len(got) == 3
+            for grads in got:
+                for g, w in zip(grads, want):
+                    assert np.array_equal(g, w)
 
 
 class TestFlattening:

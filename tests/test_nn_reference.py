@@ -5,6 +5,8 @@
   agent-batched backward() returns must be within 1e-12 of its largest
   entry of the single-agent matrix-form backward seeded by that loss alone,
   over episodes that end inside, on and just past its window edges.
+- backward() pipelines its windows over a helper thread, and must give
+  the bits of the serial windowed pass it replaced, over the same cases.
 - backward() forms its weight gradients as a sum of products over windows
   of steps, which sums the steps in another order than the per-step
   reference, so the two gradients must agree within 1e-12 of the
@@ -196,6 +198,21 @@ def test_batched_backward_matches_single_agent(n_agents, hidden_dim, n_steps, he
             want = ref.matrix_backward(net, records, *seeds)
             err = np.max(np.abs(got - want))
             assert err <= 1e-12 * np.max(np.abs(want)), f"agent {i}, {name}: difference {err}"
+
+
+@pytest.mark.parametrize("n_agents,hidden_dim,n_steps,head_scale", BATCH_CASES + WINDOW_CASES)
+def test_backward_bit_equal_to_serial_windowed_pass(n_agents, hidden_dim, n_steps, head_scale):
+    # The pipelined pass computes every element by the serial pass's
+    # arithmetic and adds into the gradients in the same order.
+    seed = 100_000 * n_agents + 1000 * hidden_dim + n_steps + int(head_scale)
+    rng, _, stacked, steps, _ = batched_episode(seed, n_agents, hidden_dim, n_steps, head_scale)
+    tape = nn.ForwardRecord(*map(np.array, zip(*(record for *_, record in steps))))
+    d_policy = rng.normal(size=(n_steps, n_agents, N_ACTIONS))
+    d_value = rng.normal(size=(n_steps, n_agents))
+    got = nn.backward(stacked, tape, d_policy, d_value)
+    want = ref.windowed_backward(stacked, tape, d_policy, d_value)
+    for name, g, w in zip(("policy", "value"), got, want):
+        assert np.array_equal(g, w), name
 
 
 def test_batched_backward_rejects_seed_shapes():
