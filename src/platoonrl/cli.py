@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/data error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -112,7 +113,9 @@ def _leader_profile(
         try:
             t0, t1 = map(float, args.window.split(":"))
         except ValueError:
-            raise ConfigError(f"--window expects t0:t1, got {args.window!r}") from None
+            t0 = t1 = math.nan
+        if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
+            raise ConfigError(f"--window expects finite t0:t1 with t0 < t1, got {args.window!r}")
     column = "v1" if args.leader_col is None else args.leader_col
     return data_mod.extract_window(table, column, t0, t1, scenario.dt)
 
@@ -236,10 +239,11 @@ def _cmd_replay(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_consensus_bench(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
-    protocols = [args.protocol] if args.protocol else ["bdc", "wac", "dcea"]
+    # Without --protocol, consensus_bench's default: every mixing protocol.
+    only = {"protocols": [args.protocol]} if args.protocol else {}
     n_agents = cfg.scenario.n_agents
     rows = consensus_bench(
-        protocols=protocols,
+        **only,
         n_agents=n_agents,
         rounds=args.rounds,
         eps=cfg.train.consensus.eps,
@@ -249,7 +253,8 @@ def _cmd_consensus_bench(args: argparse.Namespace, cfg: RunConfig, out: Path) ->
     out.mkdir(parents=True, exist_ok=True)
     path = out / "consensus_bench.csv"
     write_consensus_bench(rows, path)
-    finals = {p: next(r[2] for r in reversed(rows) if r[1] == p) for p in protocols}
+    # A protocol's rows run in round order, so its last one is its final.
+    finals = {p: spread for _, p, spread, _ in rows}
     summary = " ".join(f"{p}={s:.6f}" for p, s in finals.items())
     print(f"consensus-bench: rounds={args.rounds} agents={n_agents} final_spread {summary} -> {path}")
     return 0

@@ -6,17 +6,16 @@ discrete actions and a scalar critic head, both read from the LSTM output.
 
 Everything is float64 numpy. The recurrent state is an explicit (h, c) pair
 carried by the caller; of what a caller can see, forward() writes nothing
-but the `out` record it may be given to write into, so identical inputs
-always produce identical outputs. Given one, such as a row of a training
-episode's tape, it computes the step's activations straight into those
-arrays, with the same arithmetic and so the same bits as into fresh ones.
+but the record it computes the step into: the `out` record it may be
+given, such as a row of a training episode's tape, or else a fresh one.
+Both take the same code, so identical inputs always produce identical
+outputs.
 
 Each AgentNet binds once, at construction, the views forward() reads its
 biases through and private scratch for the values forward() never hands
-out: the input layer's product, the two LSTM products, the gate-major
-pre-activation block, the actor logits and the critic product. forward()
-writes that scratch on every call, so one net must not be stepped from
-two threads at once; separate nets may.
+out: the two LSTM products, the gate-major pre-activation block and the
+critic product. forward() writes that scratch on every call, so one net
+must not be stepped from two threads at once; separate nets may.
 
 Parameter buffer: an AgentNet owns one float64 array, `params`, and its
 named weight arrays are views into it, so writing either one changes both.
@@ -131,18 +130,14 @@ class AgentNet:
 
 class _StepOperands(NamedTuple):
     """forward()'s operands besides its inputs, record and weights, bound
-    once per net. Each product goes into a private (..., m, 1) column, the
-    shape np.matmul writes, and is read through a view that drops the
-    column axis, gate-major (4, ..., hidden_dim) for the LSTM's."""
+    once per net. The LSTM and critic products go into private (..., m, 1)
+    columns, the shape np.matmul writes, and are read through views that
+    drop the column axis, gate-major (4, ..., hidden_dim) for the LSTM's."""
 
-    x_col: np.ndarray  # input layer product
-    x_pre: np.ndarray
     zx_col: np.ndarray  # LSTM input product
     zx_gates: np.ndarray
     zh_col: np.ndarray  # LSTM recurrent product
     zh_gates: np.ndarray
-    logits_col: np.ndarray  # actor product
-    logits: np.ndarray
     v_col: np.ndarray  # critic product
     v: np.ndarray  # without either length-1 axis
     z: np.ndarray  # gate-major pre-activations, private too
@@ -153,21 +148,15 @@ class _StepOperands(NamedTuple):
 def _bind_step(net: AgentNet) -> _StepOperands:
     lead, hd = net.params.shape[:-1], net.hidden_dim
 
-    def column(m: int) -> tuple[np.ndarray, np.ndarray]:
-        col = np.empty(lead + (m, 1))
-        return col, col[..., 0]
-
     def gates(a: np.ndarray) -> np.ndarray:
         return a.reshape(lead + (4, hd)).swapaxes(0, -2)
 
-    x_col, x_pre = column(hd)
-    zx_col, zx = column(4 * hd)
-    zh_col, zh = column(4 * hd)
-    logits_col, logits = column(net.n_actions)
-    v_col, v = column(1)
+    zx_col, zh_col = np.empty((2,) + lead + (4 * hd, 1))
+    v_col = np.empty(lead + (1, 1))
     return _StepOperands(
-        x_col, x_pre, zx_col, gates(zx), zh_col, gates(zh), logits_col, logits, v_col,
-        v[..., 0], np.empty((4,) + lead + (hd,)), gates(net.lstm_b), net.critic_b[..., 0],
+        zx_col, gates(zx_col[..., 0]), zh_col, gates(zh_col[..., 0]), v_col,
+        v_col[..., 0, 0], np.empty((4,) + lead + (hd,)), gates(net.lstm_b),
+        net.critic_b[..., 0],
     )
 
 
@@ -203,6 +192,23 @@ class ForwardRecord(NamedTuple):
     tanh_c: np.ndarray
     h_new: np.ndarray
     policy: np.ndarray
+
+
+def _empty_records(n_steps: int, net: AgentNet) -> ForwardRecord:
+    """Uninitialised buffers for n_steps of forward() records of `net`: one
+    (n_steps, *lead, width) array per ForwardRecord field, lead being the
+    net's agent axes. h_prev and h_new are the first and last n_steps rows
+    of one (n_steps + 1)-row buffer, so a step's h_new is the next step's
+    h_prev in place."""
+    lead, hd = net.params.shape[:-1], net.hidden_dim
+    widths = {"obs": net.obs_dim, "policy": net.n_actions}
+    h = np.empty((n_steps + 1,) + lead + (hd,))
+    buffers = {
+        f: np.empty((n_steps,) + lead + (widths.get(f, hd),))
+        for f in ForwardRecord._fields
+        if f not in ("h_prev", "h_new")
+    }
+    return ForwardRecord(**buffers, h_prev=h[:-1], h_new=h[1:])
 
 
 def orthogonal_init(
@@ -257,39 +263,32 @@ def forward(
     critic output, a float for a single-agent net; record holds what
     backward() needs.
 
-    out, when given, is a ForwardRecord of writable float64 arrays shaped
-    as the record this step returns, such as one step's row of an episode
-    tape. The step is computed straight into its arrays, which are then
-    the returned record's fields, policy and new_hidden.h. Only obs,
-    hidden.h and hidden.c are copied in, to out.obs, out.h_prev and
-    out.c_prev; each of those may share memory with the array it receives
-    (a copy onto itself is skipped), and out.h_new may share memory with
-    hidden.h. No other field of out may overlap obs or hidden. Without out,
-    the record's fields are fresh arrays but for obs (as a float array),
-    hidden.h and hidden.c, which are its obs, h_prev and c_prev. Either
-    way, value and new_hidden.c are fresh arrays.
+    The step is computed into a record, `out` or else a fresh one-row
+    record: out, when given, is a ForwardRecord of writable float64 arrays
+    shaped as the record this step returns, such as one step's row of an
+    episode tape. obs, hidden.h and hidden.c are copied in, to out.obs,
+    out.h_prev and out.c_prev; each of those may share memory with the
+    array it receives (a copy onto itself is skipped), and out.h_new may
+    share memory with hidden.h. No other field of out may overlap obs or
+    hidden. The record's arrays are then the returned record's fields,
+    policy and new_hidden.h; value and new_hidden.c are fresh arrays.
     """
     obs = np.asarray(obs, dtype=float)
     lead = net.params.shape[:-1]
     if obs.shape != lead + (net.obs_dim,):
         raise ValueError(f"expected obs shape {lead + (net.obs_dim,)}, got {obs.shape}")
-    (x_col, x_pre, zx_col, zx_gates, zh_col, zh_gates, logits_col, logits,
-     v_col, v, z, lstm_b_gates, critic_b) = net._step
+    zx_col, zx_gates, zh_col, zh_gates, v_col, v, z, lstm_b_gates, critic_b = net._step
     if out is None:
-        # Nothing to write into: the step's results go to fresh arrays.
-        width = lead + (net.hidden_dim,)
-        out = ForwardRecord(
-            obs, np.empty(width), hidden.h, hidden.c,
-            *(np.empty(width) for _ in range(6)), np.empty(lead + (net.n_actions,)),
-        )
-    else:
-        out.obs[...] = obs
-        out.h_prev[...] = hidden.h
-        out.c_prev[...] = hidden.c
+        out = ForwardRecord(*(a[0] for a in _empty_records(1, net)))
+    out.obs[...] = obs
+    out.h_prev[...] = hidden.h
+    out.c_prev[...] = hidden.c
+    # The input layer's and the actor's products go straight into the
+    # record and are finished there in place.
     x = out.x
-    np.matmul(net.input_w, out.obs[..., None], out=x_col)
-    x_pre += net.input_b
-    np.tanh(x_pre, out=x)
+    np.matmul(net.input_w, out.obs[..., None], out=x[..., None])
+    x += net.input_b
+    np.tanh(x, out=x)
     np.matmul(net.lstm_wx, x[..., None], out=zx_col)
     np.matmul(net.lstm_wh, out.h_prev[..., None], out=zh_col)
     # Gate-major: each gate's block of every agent in one contiguous array.
@@ -313,8 +312,9 @@ def forward(
     np.tanh(c_new, out=tanh_c)
     h_new = np.multiply(gate_o, tanh_c, out=out.h_new)
     h_col = h_new[..., None]
-    np.matmul(net.actor_w, h_col, out=logits_col)
-    policy = np.add(logits, net.actor_b, out=out.policy)
+    policy = out.policy
+    np.matmul(net.actor_w, h_col, out=policy[..., None])
+    policy += net.actor_b
     policy -= np.maximum.reduce(policy, axis=-1, keepdims=True)
     np.exp(policy, out=policy)
     policy /= np.add.reduce(policy, axis=-1, keepdims=True)

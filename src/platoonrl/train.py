@@ -17,6 +17,7 @@ import numpy as np
 
 from . import nn
 from .consensus import (
+    PROTOCOLS,
     ConsensusConfig,
     apply_consensus,
     comm_bits_per_round,
@@ -161,23 +162,6 @@ def sample_actions(rng: np.random.Generator, policy: np.ndarray) -> np.ndarray:
     return np.add.reduce(cdf <= rng.random(len(policy))[:, None], axis=1)
 
 
-def _episode_tape(n_steps: int, net: nn.AgentNet) -> nn.ForwardRecord:
-    """Uninitialised buffers for up to n_steps of forward activations of the
-    agent-batched `net`: one (n_steps, n_agents, width) array per
-    ForwardRecord field. h_prev and h_new are the first and last n_steps
-    rows of one (n_steps + 1)-row buffer, so a step's h_new is the next
-    step's h_prev in place."""
-    n_agents, hd = len(net.params), net.hidden_dim
-    widths = {"obs": net.obs_dim, "policy": net.n_actions}
-    h = np.empty((n_steps + 1, n_agents, hd))
-    buffers = {
-        f: np.empty((n_steps, n_agents, widths.get(f, hd)))
-        for f in nn.ForwardRecord._fields
-        if f not in ("h_prev", "h_new")
-    }
-    return nn.ForwardRecord(**buffers, h_prev=h[:-1], h_new=h[1:])
-
-
 def rollout(
     env: PlatoonEnv,
     net: nn.AgentNet,
@@ -191,14 +175,13 @@ def rollout(
     the policies and the episode keeps the forward activations for
     learning. Each step's forward call writes them straight into row t of
     `tape`, a ForwardRecord of (at least episode_steps, n_agents, width)
-    buffers that train allocates once per run (see _episode_tape), or of a
-    fresh one; the episode's tape is then a view of the rows it wrote,
-    valid only until the next rollout into the same tape. Without rng, play
-    is greedy (argmax, lowest index wins ties) and keeps none: every step's
-    forward call writes into one step record, a one-row _episode_tape
-    allocated once per rollout, which the next step overwrites. Of a
-    greedy step's results, only the value and the cell state are fresh
-    arrays."""
+    buffers that train allocates once per run, or of a fresh one; the
+    episode's tape is then a view of the rows it wrote, valid only until
+    the next rollout into the same tape. Without rng, play is greedy
+    (argmax, lowest index wins ties) and keeps none: every step's forward
+    call writes into one step record, allocated once per rollout, which the
+    next step overwrites. Of a greedy step's results, only the value and
+    the cell state are fresh arrays."""
     obs = env.reset(seed=episode_seed)
     obs_dim = obs_dim_for(obs_mode)
     n_steps, n_agents = env.cfg.episode_steps, env.n_agents
@@ -206,10 +189,10 @@ def rollout(
     hidden = nn.Hidden(h=zeros, c=zeros)
     if rng is None:
         # Greedy, every step writes into one record.
-        rows = itertools.repeat(nn.ForwardRecord(*(a[0] for a in _episode_tape(1, net))))
+        rows = itertools.repeat(nn.ForwardRecord(*(a[0] for a in nn._empty_records(1, net))))
     else:
         if tape is None:
-            tape = _episode_tape(n_steps, net)
+            tape = nn._empty_records(n_steps, net)
         elif min(map(len, tape)) < n_steps:
             raise ValueError(f"tape holds fewer than the episode's {n_steps} steps")
         # Sampled, forward writes step t straight into row t of the tape.
@@ -296,42 +279,6 @@ def _update(
     net.params -= cfg.critic_lr * g_critic
 
 
-def _train_episode(
-    cfg: TrainConfig,
-    env: PlatoonEnv,
-    net: nn.AgentNet,
-    residuals: list[np.ndarray] | None,
-    rng: np.random.Generator,
-    tape: nn.ForwardRecord,
-    episode: int,
-    steps_done: int,
-    comm_bits: int,
-) -> LogRow:
-    """One training episode: a sampled rollout into the run's `tape`, every
-    agent's update, then a consensus round when one is due. The episode's
-    other arrays are released on return."""
-    ep_seed = int(rng.integers(0, 2**63 - 1))
-    ep = rollout(env, net, cfg.obs_mode, ep_seed, rng, tape)
-    _update(cfg, net, ep, residuals, episode)
-    if cfg.consensus.protocol != "none" and episode % cfg.consensus.period == 0:
-        net.params[...] = apply_consensus(
-            cfg.consensus.protocol, net.params, cfg.consensus.eps, cfg.consensus.tau
-        )
-        comm_bits += comm_bits_per_round(
-            cfg.consensus.protocol, nn.param_count(net), env.n_agents
-        )
-    # Python's sum adds in step order (np.sum adds pairwise); the log's
-    # bytes depend on that order.
-    agent_totals = [sum(r) for r in ep.rewards.T.tolist()]
-    return LogRow(
-        episode=episode,
-        steps=steps_done + len(ep.rewards),
-        mean_reward=float(np.mean(agent_totals)),
-        collisions=ep.collisions,
-        comm_bits_cum=comm_bits,
-    )
-
-
 def train(
     cfg: TrainConfig,
     scenario: ScenarioConfig,
@@ -364,16 +311,25 @@ def train(
         residuals = [np.zeros_like(net.params), np.zeros_like(net.params)]
     # Every episode's forward activations go into this one tape, so no
     # episode pays for fresh pages.
-    tape = _episode_tape(env.cfg.episode_steps, net)
+    tape = nn._empty_records(env.cfg.episode_steps, net)
+    mixing = cfg.consensus
+    round_bits = comm_bits_per_round(mixing.protocol, nn.param_count(net), env.n_agents)
     log: list[LogRow] = []
     steps_done = comm_bits = episode = 0
     while steps_done < cfg.total_steps:
         episode += 1
-        row = _train_episode(
-            cfg, env, net, residuals, rng, tape, episode, steps_done, comm_bits
-        )
-        log.append(row)
-        steps_done, comm_bits = row.steps, row.comm_bits_cum
+        # A sampled rollout into the run's tape, every agent's update, then
+        # a consensus round when one is due.
+        ep = rollout(env, net, cfg.obs_mode, int(rng.integers(0, 2**63 - 1)), rng, tape)
+        _update(cfg, net, ep, residuals, episode)
+        if mixing.protocol != "none" and episode % mixing.period == 0:
+            net.params[...] = apply_consensus(mixing.protocol, net.params, mixing.eps, mixing.tau)
+            comm_bits += round_bits
+        steps_done += len(ep.rewards)
+        # Each agent's total by Python's sum, which adds in step order
+        # (np.sum adds pairwise); the log's bytes depend on that order.
+        mean_reward = float(np.mean([sum(r) for r in ep.rewards.T.tolist()]))
+        log.append(LogRow(episode, steps_done, mean_reward, ep.collisions, comm_bits))
         if (
             checkpoint_dir is not None
             and cfg.checkpoint_every > 0
@@ -546,7 +502,7 @@ def evaluate(
 
 
 def consensus_bench(
-    protocols: Sequence[str] = ("bdc", "wac", "dcea"),
+    protocols: Sequence[str] = tuple(p for p in PROTOCOLS if p != "none"),
     n_agents: int = 4,
     n_params: int = 64,
     rounds: int = 500,

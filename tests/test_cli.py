@@ -162,6 +162,26 @@ class TestExitCodes:
         assert code == 2
         assert "outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window", ["5:3", "5:5", "nan:5", "5:nan", "0:inf", "5:", "5", "1:2:3"]
+    )
+    def test_replay_window_that_is_not_an_interval(
+        self, window, tiny_config, trace_20s, tmp_path, capsys
+    ):
+        # A window that does not parse to finite t0 < t1 is a usage error,
+        # whatever the trace holds.
+        out = tmp_path / "w"
+        code = run_cli(
+            "replay", "--config", str(tiny_config),
+            "--trace", str(trace_20s), "--window", window, "--output-dir", str(out),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: --window expects finite t0:t1 with t0 < t1, got {window!r}\n"
+        )
+        assert not out.exists()
+
     def test_replay_missing_trace_file(self, tiny_config, tmp_path, capsys):
         code = run_cli(
             "replay", "--config", str(tiny_config),

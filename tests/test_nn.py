@@ -17,6 +17,7 @@ import pytest
 from platoonrl.errors import DataError
 from platoonrl.nn import (
     _WINDOW,
+    _empty_records,
     AgentNet,
     ForwardRecord,
     Hidden,
@@ -233,6 +234,52 @@ class TestForward:
         net.input_w[0, 0] = np.nan
         with pytest.raises(FloatingPointError):
             forward(net, np.zeros(OBS_DIM), zero_hidden(HIDDEN))
+
+    @pytest.mark.parametrize("n_agents", [None, 3])
+    def test_fresh_record_shares_no_memory_with_the_inputs(self, n_agents):
+        # Without `out`, forward copies obs and the carry into a record of
+        # its own, as it copies them into a given one.
+        net = make_net(7) if n_agents is None else stacked(n_agents, HIDDEN, seed=7)
+        lead = () if n_agents is None else (n_agents,)
+        rng = np.random.default_rng(0)
+        obs = rng.normal(size=lead + (OBS_DIM,))
+        hidden = Hidden(rng.normal(size=lead + (HIDDEN,)), rng.normal(size=lead + (HIDDEN,)))
+        record = forward(net, obs, hidden)[3]
+        for name, a in zip(ForwardRecord._fields, record):
+            for given in (obs, hidden.h, hidden.c):
+                assert not np.shares_memory(a, given), name
+        for a, given in ((record.obs, obs), (record.h_prev, hidden.h), (record.c_prev, hidden.c)):
+            assert np.array_equal(a, given)
+
+
+class TestEmptyRecords:
+    @pytest.mark.parametrize("n_agents", [None, 1, 4])
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_buffers(self, n_agents, n_steps):
+        net = make_net(0) if n_agents is None else stacked(n_agents, HIDDEN, seed=0)
+        lead = () if n_agents is None else (n_agents,)
+        records = _empty_records(n_steps, net)
+        widths = {"obs": OBS_DIM, "policy": N_ACTIONS}
+        for name, a in zip(ForwardRecord._fields, records):
+            assert a.shape == (n_steps,) + lead + (widths.get(name, HIDDEN),), name
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable, name
+        # Step t's h_new is step t + 1's h_prev in place; no other two
+        # fields share memory.
+        assert all(np.shares_memory(records.h_new[t], records.h_prev[t + 1])
+                   for t in range(n_steps - 1))
+        assert not np.shares_memory(records.h_prev[0], records.h_new)
+        assert not np.shares_memory(records.h_new[-1], records.h_prev)
+        pairs = [(a, b) for a in ForwardRecord._fields for b in ForwardRecord._fields if a < b]
+        for a, b in pairs:
+            if {a, b} != {"h_prev", "h_new"}:
+                assert not np.shares_memory(getattr(records, a), getattr(records, b)), (a, b)
+        # A row of the buffers is a record forward() writes into.
+        rows = ForwardRecord(*(a[0] for a in records))
+        obs, zeros = np.ones(lead + (OBS_DIM,)), np.zeros(lead + (HIDDEN,))
+        want = forward(net, obs, Hidden(zeros, zeros))
+        got = forward(net, obs, Hidden(zeros, zeros), rows)
+        for name, g, w in zip(ForwardRecord._fields, got[3], want[3]):
+            assert np.array_equal(g, w), name
 
 
 def stacked(n_agents, hidden_dim, seed):

@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 
 from platoonrl import nn
+from platoonrl.nn import _empty_records as _episode_tape
 from platoonrl.train import (
     TrainConfig,
-    _episode_tape,
     _update,
     discounted_returns,
     rollout,

@@ -13,7 +13,6 @@ from platoonrl.errors import ConfigError
 from platoonrl.nn import flatten_params, param_count
 from platoonrl.train import (
     TrainConfig,
-    _episode_tape,
     consensus_bench,
     discounted_returns,
     evaluate,
@@ -183,7 +182,7 @@ class TestEpisodeBuffers:
         # rows in the tape, past the end of its own episode.
         env = PlatoonEnv(ScenarioConfig())
         net = stacked_net(env.n_agents, 8)
-        tape = _episode_tape(env.cfg.episode_steps, net)
+        tape = nn._empty_records(env.cfg.episode_steps, net)
         for seed, steps in ((2, 600), (3, 480)):
             got = rollout(env, net, "ia2c", seed, np.random.default_rng(seed), tape)
             want = rollout(env, net, "ia2c", seed, np.random.default_rng(seed))
@@ -205,7 +204,7 @@ class TestEpisodeBuffers:
         # write into `out` fails here.
         env = PlatoonEnv(ScenarioConfig())
         net = stacked_net(env.n_agents, 8, obs_dim=obs_dim_for(obs_mode))
-        tape = _episode_tape(env.cfg.episode_steps, net)
+        tape = nn._empty_records(env.cfg.episode_steps, net)
         for buf in tape:
             buf.fill(np.nan)
         forward = nn.forward
@@ -229,7 +228,7 @@ class TestEpisodeBuffers:
     def test_short_tape_is_rejected(self):
         env = PlatoonEnv(tiny_scenario())
         net = stacked_net(env.n_agents, 8)
-        tape = _episode_tape(env.cfg.episode_steps - 1, net)
+        tape = nn._empty_records(env.cfg.episode_steps - 1, net)
         with pytest.raises(ValueError, match="fewer than the episode's 30 steps"):
             rollout(env, net, "ia2c", 0, np.random.default_rng(0), tape)
 
