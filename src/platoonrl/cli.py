@@ -54,7 +54,8 @@ _FLAGS: dict[str, dict] = {
     "--obs-mode": dict(help="observation mode override (ia2c|fprint)"),
     "--checkpoint-dir": dict(help="checkpoint directory to load"),
     "--trace": dict(help="trace CSV for trace-replay scenarios (replay: required)"),
-    "--window": dict(help="trace window as t0:t1 seconds (replay: required)"),
+    "--window": dict(help="trace window as t0:t1 seconds (replay: required); "
+                          "write a negative t0 as --window=-5:3"),
     "--leader-col": dict(help="trace leader column (default v1)"),
     "--grid": dict(default="61x51", help="fit grid as NVxNU, e.g. 61x51"),
     "--rounds": dict(type=int, default=500, help="mixing rounds"),
@@ -151,10 +152,12 @@ def _write_rollout_log(log: np.ndarray, path: Path) -> None:
 
 def _cmd_fit_energy(args: argparse.Namespace, cfg: RunConfig, out: Path) -> int:
     try:
-        nv_s, nu_s = args.grid.lower().split("x")
-        n_v, n_u = int(nv_s), int(nu_s)
+        n_v, n_u = map(int, args.grid.lower().split("x"))
     except ValueError:
-        raise ConfigError(f"--grid expects NVxNU, got {args.grid!r}") from None
+        n_v = n_u = 0
+    # A quartic needs at least 5 points per axis.
+    if min(n_v, n_u) < 5:
+        raise ConfigError(f"--grid expects NVxNU with NV, NU >= 5, got {args.grid!r}")
     poly, rmse = fit_energy_poly(cfg.vehicle, n_v, n_u)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "energy_poly.csv"

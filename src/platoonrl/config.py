@@ -38,6 +38,9 @@ class RunConfig:
         for s in self.seeds:
             if isinstance(s, bool) or not isinstance(s, int) or s < 0:
                 raise ConfigError("seeds must be non-negative integers")
+        # Each seed writes its own train log and checkpoints.
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
 
 
 def _build(cls: type, mapping: dict[str, Any], path: str) -> Any:

@@ -60,14 +60,16 @@ def parse_trace_csv(path: str | Path) -> TraceTable:
     """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports
+        # put before the first header name.
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: empty file") from None
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read trace file {path}: {exc}") from exc
     header = [h.strip() for h in header]
     repeated = sorted({h for h in header if header.count(h) > 1})

@@ -23,8 +23,8 @@ from .vehicle import (
     _all_finite,
     _kinematics,
     _kinematics_rows,
+    _operands,
     _power_kw,
-    _power_law,
 )
 
 # Not called here, since step runs the laws' unchecked cores: bench/spans.py
@@ -173,34 +173,35 @@ def compute_reward(
     The safety term activates only once the gap falls below twice d_safe.
     The collision penalty is applied by the environment, not here.
     """
-    d, v, u, power_kw = np.broadcast_arrays(d, v, u, power_kw)
-    n = d.size
+    # The scalars d_star and v_star are checked here and used as given.
+    shape, (*values, _, _) = _operands("compute_reward", d, v, u, power_kw, d_star, v_star)
+    n = values[0].size
     law = _reward_law(weights, d_star, v_star, n)
-    values = np.array([np.reshape(x, -1) for x in (d, v, u, power_kw)], dtype=float)
-    rewards = _reward(law, _reward_rows(values), np.empty(n))
-    return rewards.reshape(d.shape)[()]
+    rewards = _reward(law, _reward_rows(np.array(values)), np.empty(n))
+    return rewards.reshape(shape)[()]
 
 
 def _full_size(constants, n: int) -> np.ndarray:
-    """A law's constants, each repeated into a row of n. The per-step
-    arithmetic runs faster on them than on Python floats or on columns,
-    which NumPy converts or broadcasts anew on every call."""
+    """A block of a law's constants that differ by row, each row repeated
+    to n columns. The per-step arithmetic runs faster on it than on a
+    column, which NumPy broadcasts anew on every call; a constant shared by
+    every row is a 0-d array instead."""
     return np.array(constants, dtype=float)[..., None].repeat(n, axis=-1)
 
 
 def _reward_law(
     weights: RewardWeights, d_star: float, v_star: float, n: int
 ) -> tuple[np.ndarray, ...]:
-    """The constants of _reward for n agents, full-size: the offsets, caps
+    """The constants of _reward for n agents: the full-size offsets, caps
     and weights of its (4, n) error block over the rows d, v, u and d, then
-    the power term's weight and normalizer."""
+    the power term's weight and normalizer as 0-d arrays."""
     offsets, caps, scales = _full_size([
         [d_star, v_star, 0.0, 2.0 * weights.d_safe],
         [math.inf, math.inf, math.inf, 0.0],
         [weights.w_spacing, weights.w_velocity, weights.w_accel, weights.w_safety],
     ], n)
-    power_weight, power_norm = _full_size([weights.w_power, weights.power_norm], n)
-    return offsets, caps, scales, power_weight, power_norm
+    power = (np.array(x, dtype=float) for x in (weights.w_power, weights.power_norm))
+    return offsets, caps, scales, *power
 
 
 def _reward_rows(values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -336,7 +337,7 @@ class PlatoonEnv:
         self.agents = a = slice(cfg.n_vehicles - cfg.n_agents, None)
         self.n_vehicles = cfg.n_vehicles
         self.n_agents = n_agents = cfg.n_agents
-        self._power_law = tuple(_full_size(_power_law(self.vehicle), cfg.n_vehicles))
+        self._vehicle_law = self.vehicle._law
         self._reward_law = _reward_law(self.reward, cfg.d_star, cfg.v_star, n_agents)
         self._own_law = _own_law(cfg, n_agents)
         # The observations gather from one flat source: the agents' own
@@ -445,7 +446,7 @@ class PlatoonEnv:
         values[4] = math.nan
         if a.start:
             values[0, 0], values[1, 0] = math.nan, self._leader[k]
-        _power_kw(self._power_law, *self._power_rows, self._power_scratch)
+        _power_kw(self._vehicle_law, *self._power_rows, self._power_scratch)
         self._agent_v0 = state[3, a]
         self._done = False
         return self._observations()
@@ -470,12 +471,12 @@ class PlatoonEnv:
         errors = np.subtract(self._vel_targets, vel_own, out=self._errors)
         # The own 5-vectors, one row per entry: the numerators, then each
         # row over its scale, with the two velocity errors clipped.
-        dt, d_star, scales, low, high = self._own_law
+        d_star, scales, low, high = self._own_law
         v0 = self._agent_v0
         own_v = np.subtract(vel_own, v0, out=self._own_v)
         own_v /= v0
         self._own_errors[...] = errors
-        gap = np.multiply(self._ahead_error, dt, out=self._own_gap)
+        gap = np.multiply(self._ahead_error, self._dt, out=self._own_gap)
         gap += d
         gap -= d_star
         self._own_accel[...] = self._accel
@@ -538,7 +539,7 @@ class PlatoonEnv:
             values[1, 0] = lead_v_next
             values[2, 0] = lead_u
         self._step_idx = k + 1
-        _power_kw(self._power_law, *self._power_rows, self._power_scratch)
+        _power_kw(self._vehicle_law, *self._power_rows, self._power_scratch)
 
         rewards = _reward(self._reward_law, self._reward_rows, self._rewards)
         crashed = np.less_equal(d, _MIN_SPACING, out=self._crashed)
@@ -550,16 +551,15 @@ class PlatoonEnv:
 
 
 def _own_law(cfg: ScenarioConfig, n_agents: int) -> tuple[np.ndarray, ...]:
-    """The constants of the own 5-vectors' entries after the first,
-    full-size: dt and d_star, then the (4, n_agents) scales and clip bounds,
-    [-2, 2] on the two velocity errors and none on the rest."""
-    dt, d_star = _full_size([cfg.dt, cfg.d_star], n_agents)
+    """The constants of the own 5-vectors' entries after the first: d_star
+    as a 0-d array, then the full-size (4, n_agents) scales and clip
+    bounds, [-2, 2] on the two velocity errors and none on the rest."""
     scales, low, high = _full_size([
         [5.0, 5.0, cfg.d_star, U_MAX],
         [-2.0, -2.0, -math.inf, -math.inf],
         [2.0, 2.0, math.inf, math.inf],
     ], n_agents)
-    return dt, d_star, scales, low, high
+    return np.array(cfg.d_star, dtype=float), scales, low, high
 
 
 def _observation_index(n_agents: int) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vehicle import _actuate, _all_finite
+from .vehicle import _actuate, _all_finite, _operands
 
 
 @dataclass(frozen=True)
@@ -75,18 +75,14 @@ def ovm_accel(
     headway and the predecessor velocity errors, 1/s. Takes floats or
     arrays; array gains hold one gain per vehicle and broadcast against the
     state."""
-    # d is checked by headway_velocity.
-    if not (_all_finite(v) and _all_finite(v_prev)):
-        raise ValueError("ovm_accel requires finite inputs")
-    if not (_all_finite(alpha) and _all_finite(beta) and min(np.min(alpha), np.min(beta)) >= 0.0):
-        raise ValueError("ovm_accel requires finite, non-negative gains")
-    ahead_err = v_prev - v
-    head_err = headway_velocity(params, d) - v
-    shape = np.broadcast_shapes(*map(np.shape, (alpha, beta, ahead_err, head_err)))
-    gains, errors = np.empty((2, 2, *shape))
-    gains[0], gains[1] = beta, alpha
-    errors[0], errors[1] = ahead_err, head_err
-    return _gain_accel(gains, errors, np.empty(shape))[()]
+    # On the gains as given, so that an empty state does not hide a
+    # negative gain. A nan gain passes here and fails the front.
+    if min(np.min(alpha, initial=0.0), np.min(beta, initial=0.0)) < 0.0:
+        raise ValueError("ovm_accel requires non-negative gains")
+    shape, (d, v, v_prev, alpha, beta) = _operands("ovm_accel", d, v, v_prev, alpha, beta)
+    gains = np.array((beta, alpha))
+    errors = np.array((v_prev - v, headway_velocity(params, d) - v))
+    return _gain_accel(gains, errors, np.empty(d.size)).reshape(shape)[()]
 
 
 def _gain_accel(gains: np.ndarray, errors: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -7,7 +7,6 @@ reported downstream).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +58,16 @@ class VehicleParams:
                 raise ValueError(f"VehicleParams.{name} must be strictly positive")
         if not 0.0 < self.drivetrain_eff <= 1.0:
             raise ValueError("VehicleParams.drivetrain_eff must be in (0, 1]")
-
-
-def _require_finite(name: str, *values) -> None:
-    """Raise ValueError unless every element of every value is finite."""
-    for x in values:
-        if not (math.isfinite(x) if isinstance(x, float) else _all_finite(x)):
-            raise ValueError(f"{name} requires finite inputs")
+        # The constants of driving_force and electric_power as 0-d arrays,
+        # bound once: m, m g f, rho A_f C_d / 2 and eta. NumPy converts a
+        # Python float operand anew on every call.
+        law = (
+            self.mass_kg,
+            self.mass_kg * GRAVITY * self.rolling_coeff,
+            0.5 * self.air_density * self.frontal_area_m2 * self.drag_coeff,
+            self.drivetrain_eff,
+        )
+        object.__setattr__(self, "_law", tuple(np.array(x, dtype=float) for x in law))
 
 
 def _all_finite(x) -> bool:
@@ -74,6 +76,17 @@ def _all_finite(x) -> bool:
     Python-level wrapper."""
     finite = np.isfinite(x)
     return np.count_nonzero(finite) == finite.size
+
+
+def _operands(name: str, *values) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The checked front of the public laws: values, floats or arrays, as
+    float arrays broadcast to one shape; returns that shape and each value
+    flattened. ValueError naming the law unless every element is finite."""
+    arrays = [np.asarray(x, dtype=float) for x in values]
+    if not all(map(_all_finite, arrays)):
+        raise ValueError(f"{name} requires finite inputs")
+    arrays = np.broadcast_arrays(*arrays)
+    return arrays[0].shape, [x.reshape(-1) for x in arrays]
 
 
 def _actuate(u_cmd, out=None):
@@ -135,14 +148,10 @@ def step_kinematics(
     (velocity held at the bound for the clipped portion of the step). The
     predecessor term is exact unless the predecessor's own clip binds.
     """
-    d = np.asarray(d, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u_cmd = np.asarray(u_cmd, dtype=float)
-    _require_finite("step_kinematics", d, v, u_cmd, v_prev, u_prev, dt)
+    # The scalars v_prev, u_prev and dt are checked here and used as given.
+    shape, (d, v, u_cmd, *_) = _operands("step_kinematics", d, v, u_cmd, v_prev, u_prev, dt)
     if dt <= 0.0:
         raise ValueError("step_kinematics requires dt > 0")
-    shape = np.broadcast_shapes(d.shape, v.shape, u_cmd.shape)
-    d, v, u_cmd = (np.broadcast_to(x, shape).reshape(-1) for x in (d, v, u_cmd))
     u = _actuate(u_cmd)
     vel = np.array((v, np.concatenate(([v_prev], v[:-1]))))
     out = np.empty_like(vel)
@@ -190,23 +199,9 @@ def _kinematics(
     spacing -= own_dist
 
 
-# The constants of driving_force and electric_power: m, m g f,
-# rho A_f C_d / 2 and eta, as floats or as rows of an array.
-_PowerLaw = tuple[float, float, float, float] | tuple[np.ndarray, ...]
-
-
-def _power_law(params: VehicleParams) -> _PowerLaw:
-    return (
-        params.mass_kg,
-        params.mass_kg * GRAVITY * params.rolling_coeff,
-        0.5 * params.air_density * params.frontal_area_m2 * params.drag_coeff,
-        params.drivetrain_eff,
-    )
-
-
-def _force(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """driving_force without its checks, into out; scratch is an array of
-    out's shape."""
+def _force(law: tuple, v, u, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """driving_force without its checks, on a VehicleParams' bound _law,
+    into out; scratch is an array of out's shape."""
     mass, rolling, drag, _ = law
     np.multiply(mass, u, out=out)
     out += rolling
@@ -216,9 +211,9 @@ def _force(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.nda
     return out
 
 
-def _power_kw(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """electric_power without its checks, into out; scratch is an array of
-    out's shape."""
+def _power_kw(law: tuple, v, u, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """electric_power without its checks, as _force, into out; scratch is
+    an array of out's shape."""
     wheel_w = _force(law, v, u, out, scratch)
     wheel_w *= v
     eta = law[3]
@@ -231,13 +226,6 @@ def _power_kw(law: _PowerLaw, v, u, out: np.ndarray, scratch: np.ndarray) -> np.
     return out
 
 
-def _operating_points(v, u) -> tuple[np.ndarray, ...]:
-    """v and u as float arrays of one shape, and two fresh arrays of that
-    shape for a law's result and scratch."""
-    v, u = np.broadcast_arrays(np.asarray(v, dtype=float), np.asarray(u, dtype=float))
-    return v, u, np.empty(v.shape), np.empty(v.shape)
-
-
 def driving_force(
     params: VehicleParams, v: float | np.ndarray, u: float | np.ndarray
 ) -> float | np.ndarray:
@@ -247,9 +235,8 @@ def driving_force(
 
         F = m u + m g f + (1/2) rho A_f C_d v^2
     """
-    _require_finite("driving_force", v, u)
-    v, u, out, scratch = _operating_points(v, u)
-    return _force(_power_law(params), v, u, out, scratch)[()]
+    shape, (v, u) = _operands("driving_force", v, u)
+    return _force(params._law, v, u, *np.empty((2, v.size))).reshape(shape)[()]
 
 
 def electric_power(
@@ -264,9 +251,8 @@ def electric_power(
         P = F v / eta   if F v >= 0
         P = F v * eta   otherwise
     """
-    _require_finite("electric_power", v, u)
-    v, u, out, scratch = _operating_points(v, u)
-    return _power_kw(_power_law(params), v, u, out, scratch)[()]
+    shape, (v, u) = _operands("electric_power", v, u)
+    return _power_kw(params._law, v, u, *np.empty((2, v.size))).reshape(shape)[()]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from platoonrl import (
     ConsensusConfig,
@@ -169,6 +170,7 @@ def test_06_gradient_correctness(capsys):
         assert elapsed < 30.0, f"sweep took {elapsed:.1f}s"
 
 
+@pytest.mark.slow
 def test_07_training_smoke(capsys):
     with criterion(capsys, 7, "training improves and evals clean"):
         scenario = ScenarioConfig(n_vehicles=4, d_star=20.0, v_star=15.0, seed=0)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from platoonrl.cli import main
 from platoonrl.consensus import comm_bits_per_round
@@ -147,11 +148,16 @@ class TestExitCodes:
         ) == 1
         assert "--grid" in capsys.readouterr().err
 
-    def test_degenerate_grid_is_runtime_error(self, tmp_path, capsys):
-        assert run_cli(
-            "fit-energy", "--grid", "2x2", "--output-dir", str(tmp_path)
-        ) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("grid", ["2x2", "4x51", "61x4", "0x5", "-5x5"])
+    def test_degenerate_grid_is_usage_error(self, grid, tmp_path, capsys):
+        # Fewer than 5 points on an axis cannot fit a quartic, whatever the
+        # vehicle: a usage error, as a grid that does not parse.
+        out = tmp_path / "fit"
+        assert run_cli("fit-energy", f"--grid={grid}", "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid expects NVxNU with NV, NU >= 5, got {grid!r}\n"
+        )
+        assert not out.exists()
 
     def test_replay_window_outside_span(self, tiny_config, trace_20s, tmp_path, capsys):
         code = run_cli(
@@ -231,6 +237,16 @@ class TestTrainCli:
         ckpt = run_dir / "checkpoints" / "seed0"
         assert (ckpt / "agent0.npz").exists()
         assert (ckpt / "agent1.npz").exists()
+
+    def test_repeated_seed_is_config_error(self, tiny_config, tmp_path, capsys):
+        # Both runs of seed 1 would write train_log_seed1.csv and
+        # checkpoints/seed1.
+        raw = yaml.safe_load(tiny_config.read_text())
+        tiny_config.write_text(yaml.safe_dump({**raw, "seeds": [1, 1]}))
+        out = tmp_path / "runs"
+        assert run_cli("train", "--config", str(tiny_config), "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err == "error: seeds must not repeat, got [1, 1]\n"
+        assert not out.exists()
 
     def test_logs_byte_identical_across_runs(self, tiny_config, tmp_path):
         for sub in ("a", "b"):
@@ -419,6 +435,19 @@ class TestReplayCli:
 
         stats_lines = (tmp_path / "rp" / "replay_stats.csv").read_text().splitlines()
         assert len(stats_lines) == 3
+
+    def test_window_with_a_negative_start(self, tiny_config, tmp_path, capsys):
+        # argparse reads "--window -5:3" as a flag; the joined form passes
+        # the negative start through.
+        trace = tmp_path / "early.csv"
+        trace.write_text(
+            "time,v1\n" + "".join(f"{k / 10:.1f},15.0\n" for k in range(-100, 101))
+        )
+        assert run_cli(
+            "replay", "--config", str(tiny_config), "--trace", str(trace),
+            "--window=-5:3", "--output-dir", str(tmp_path / "rp"),
+        ) == 0
+        assert "window=-5:3 samples=80 " in capsys.readouterr().out
 
     def test_leader_col_picks_the_replayed_column(self, tiny_config, trace_20s, tmp_path):
         assert run_cli(

@@ -74,6 +74,9 @@ class TestConfigFromDict:
             config_from_dict({"seeds": [-1]})
         with pytest.raises(ConfigError):
             config_from_dict({"seeds": "012"})
+        # A repeated seed would train twice into the same log and checkpoints.
+        with pytest.raises(ConfigError, match="seeds must not repeat"):
+            config_from_dict({"seeds": [1, 0, 1]})
 
 
 class TestRoundTrip:

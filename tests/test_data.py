@@ -35,6 +35,21 @@ class TestParseTraceCsv:
         assert table.times[0] == 0.0
         assert table.column("v1")[0] == pytest.approx(synth_velocity(0.0), abs=1e-3)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # Spreadsheet exports often begin with a UTF-8 byte-order mark.
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"\xef\xbb\xbftime,v1\n0.0,10\n0.1,11\n")
+        table = parse_trace_csv(p)
+        assert table.columns == ("v1",)
+        assert np.array_equal(table.times, [0.0, 0.1])
+
+    def test_text_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        # A UTF-16 export, as some spreadsheets write "Unicode text".
+        p = tmp_path / "t.csv"
+        p.write_bytes("time,v1\n0.0,10\n0.1,11\n".encode("utf-16"))
+        with pytest.raises(DataError, match="cannot read trace file"):
+            parse_trace_csv(p)
+
     def test_missing_time_column(self, tmp_path):
         p = write_csv(tmp_path / "t.csv", "stamp,v1\n0.0,10\n0.1,10\n")
         with pytest.raises(DataError, match="time"):

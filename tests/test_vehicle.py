@@ -6,6 +6,7 @@ rolling = 1718.4 * 9.8 * 0.011 = 185.24352 N, aero(15) = 0.5 * 1.206 *
 291.8298 * 15 / 0.9 / 1000 = 4.86383 kW.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from platoonrl.env import RewardWeights, compute_reward
 from platoonrl.errors import FitError
+from platoonrl.ovm import OvmParams, ovm_accel
 from platoonrl.vehicle import (
     U_MAX,
     U_MIN,
@@ -134,6 +137,96 @@ class TestStepKinematics:
             step_kinematics(20.0, 15.0, 15.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             step_kinematics(20.0, 15.0, math.nan, 0.0, 0.0, 0.1)
+
+
+# Each public law at a valid operating point, and the positions of its
+# arguments that take arrays. The other numbers are scalars of the law.
+LAWS = {
+    "driving_force": (driving_force, (PARAMS, 15.0, 0.5), (1, 2)),
+    "electric_power": (electric_power, (PARAMS, 15.0, 0.5), (1, 2)),
+    "step_kinematics": (step_kinematics, (20.0, 15.0, 15.0, 0.0, 0.5, 0.1), (0, 1, 4)),
+    "ovm_accel": (ovm_accel, (OvmParams(), 20.0, 15.0, 15.0, 0.5, 0.5), (1, 2, 3, 4, 5)),
+    "compute_reward": (
+        compute_reward, (RewardWeights(), 20.0, 15.0, 0.5, 4.0, 20.0, 15.0), (1, 2, 3, 4)
+    ),
+}
+
+
+def _with(args, changes):
+    return tuple(changes.get(i, x) for i, x in enumerate(args))
+
+
+class TestCheckedFront:
+    """The public laws share one input front: floats or arrays that
+    broadcast, and a ValueError naming the law on any non-finite element."""
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["float", "array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "law, position", [(law, i) for law, (_, _, arrays) in LAWS.items() for i in arrays]
+    )
+    def test_non_finite_input_names_the_law(self, law, position, bad, as_array):
+        fn, args, _ = LAWS[law]
+        value = np.array([args[position], bad]) if as_array else bad
+        with pytest.raises(ValueError, match=f"^{law} requires finite inputs$"):
+            fn(*_with(args, {position: value}))
+
+    @pytest.mark.parametrize(
+        "law, position", [("step_kinematics", i) for i in (2, 3, 5)]
+        + [("compute_reward", i) for i in (5, 6)]
+    )
+    def test_non_finite_scalar_names_the_law(self, law, position):
+        fn, args, _ = LAWS[law]
+        with pytest.raises(ValueError, match=f"^{law} requires finite inputs$"):
+            fn(*_with(args, {position: math.nan}))
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_floats_give_floats(self, law):
+        fn, args, _ = LAWS[law]
+        result = fn(*args)
+        for x in result if law == "step_kinematics" else (result,):
+            assert type(x) is np.float64
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_arrays_give_their_broadcast_shape(self, law):
+        fn, args, (first, second, *_) = LAWS[law]
+        columns = np.full((2, 1), args[first])
+        row = np.full(3, args[second])
+        result = fn(*_with(args, {first: columns, second: row}))
+        for x in result if law == "step_kinematics" else (result,):
+            assert isinstance(x, np.ndarray) and x.shape == (2, 3)
+
+    @pytest.mark.parametrize("gain", [0.5, np.empty(0)], ids=["float", "per-vehicle"])
+    def test_ovm_accel_on_an_empty_state(self, gain):
+        empty = np.empty(0)
+        result = ovm_accel(OvmParams(), empty, empty, empty, gain, gain)
+        assert isinstance(result, np.ndarray) and result.shape == (0,)
+
+    @pytest.mark.parametrize("state", [20.0, np.empty(0)], ids=["float", "empty"])
+    def test_negative_gain_is_rejected_apart(self, state):
+        # An empty state does not hide the gain.
+        with pytest.raises(ValueError, match="^ovm_accel requires non-negative gains$"):
+            ovm_accel(OvmParams(), state, state, state, 0.5, -0.1)
+
+
+class TestVehicleParams:
+    def test_bound_law_is_not_a_field(self):
+        """The power law's constants are bound at construction, not fields:
+        the field list, equality, asdict and replace are those of the six
+        settings."""
+        names = [f.name for f in dataclasses.fields(VehicleParams)]
+        assert names == [
+            "mass_kg", "rolling_coeff", "air_density", "drag_coeff", "frontal_area_m2",
+            "drivetrain_eff",
+        ]
+        assert dataclasses.asdict(PARAMS) == dict(
+            zip(names, (1718.4, 0.011, 1.206, 0.32, 2.455, 0.9))
+        )
+        assert VehicleParams() == PARAMS and hash(VehicleParams()) == hash(PARAMS)
+        heavy = dataclasses.replace(PARAMS, mass_kg=2000.0)
+        assert heavy != PARAMS
+        # replace binds the law anew: m u + m g f at standstill.
+        assert driving_force(heavy, 0.0, 1.0) == pytest.approx(2000.0 + 2000.0 * 9.8 * 0.011)
 
 
 @pytest.fixture(scope="module")
